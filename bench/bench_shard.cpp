@@ -142,7 +142,8 @@ crossCheck(bool fixedPoint)
     cfg.fixedPoint = fixedPoint;
     const Index tiles = 4;
     // Full weightings on: the gate compares the whole readout.
-    LoopbackShard stack = makeLoopbackShard(cfg, tiles, 2);
+    LocalShardCluster stack =
+        makeLocalCluster(ClusterTransport::Loopback, cfg, tiles, 2);
     DncD ref(cfg, tiles);
     Rng rng(23);
     std::vector<InterfaceVector> perTile(tiles);
@@ -513,7 +514,7 @@ runRecoveryRow(Transport transport, Index tiles, Index workers,
     };
 
     MemoryReadout out;
-    Index sent = 0; // Step frames every worker has received
+    Index sent = 0; // LaneStep frames every worker has received
     for (Index i = 0; i < interval + 2; ++i, ++sent)
         stack.coordinator->stepInterfaceInto(iface, out);
     row.stepMs = 1e9;

@@ -31,7 +31,7 @@
 
 #include "common/random.h"
 #include "obs/obs.h"
-#include "shard/coordinator.h"
+#include "shard/local_cluster.h"
 #include "shard/worker.h"
 #include "workload/retrieval.h"
 
@@ -129,7 +129,8 @@ main(int argc, char **argv)
         // is installed below, and the per-type traffic report gains the
         // CheckpointRequest/CheckpointState rows.
         cfg.shardCheckpointIntervalSteps = 16;
-        LoopbackShard stack = makeLoopbackShard(cfg, tiles, workers);
+        LocalShardCluster stack = makeLocalCluster(
+            ClusterTransport::Loopback, cfg, tiles, workers);
         coordinator = std::move(stack.coordinator);
         loopWorkers = std::move(stack.workers);
         coordinator->setRespawner([&loopWorkers](Index) {
@@ -151,7 +152,7 @@ main(int argc, char **argv)
         // snapshots included) for the largest hosted-tile share.
         const Index hosted = (tiles + addrs.size() - 1) / addrs.size();
         const std::size_t slotBytes =
-            shmSlotBytesFor(shardConfigFor(cfg, tiles), hosted);
+            shmSlotBytesFor(shardConfigFor(cfg, tiles), tiles, hosted);
         std::vector<std::unique_ptr<Channel>> channels;
         for (const std::string &addr : addrs) {
             auto chan = connectAddr(addr, slotBytes);

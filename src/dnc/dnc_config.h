@@ -73,10 +73,12 @@ struct DncConfig
     Index shardLanesPerBatch = 0;
 
     /**
-     * Checkpoint cadence of the sharded serving stack: every this many
-     * coordinator steps (per lane for the pipelined group), the
-     * coordinator pulls a CheckpointState snapshot of every worker's
-     * tiles and trims its replay log to the window since that snapshot.
+     * Checkpoint cadence of the sharded serving stack, in steps per
+     * lane: once any lane has stepped this many times since the last
+     * pull, the coordinator pulls a CheckpointState snapshot of every
+     * worker's tiles (at the next gather that empties its in-flight
+     * window) and trims its replay log to the window since that
+     * snapshot. A one-lane coordinator pulls every this many steps.
      * On a worker death it then respawns a replacement, restores the
      * snapshot, and replays the logged window — bit-identical to an
      * undisturbed run. 0 (default) disables checkpointing: a lost

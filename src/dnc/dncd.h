@@ -18,8 +18,10 @@
  *
  * The stepping surface is the abstract TileMemory: DncD is the
  * in-process implementation (tiles on a thread pool); the multi-process
- * ShardCoordinator (src/shard/coordinator.h) implements the same
- * surface over a wire protocol and must match DncD bit for bit. The
+ * shard coordinator (src/shard/pipeline.h — the one-lane
+ * ShardCoordinator or one lane of a ShardLaneGroup) implements the
+ * same surface over a wire protocol and must match DncD bit for bit,
+ * per-tile write-sharded steps included. The
  * merge arithmetic both share lives here — ConfidenceGate (alpha
  * selection + softmax) and mergeTileReadouts (the Eq. 4 weighted sum
  * plus the global-view weighting concat) — so the two backends cannot
@@ -127,8 +129,8 @@ void mergeTileReadouts(const std::vector<const MemoryReadout *> &locals,
  * The stepping surface of a sharded DNC memory: Nt tiles driven by
  * scripted (or controller-emitted) interface vectors with the
  * read-vector merge applied. Implemented in-process by DncD and over
- * the wire by ShardCoordinator; ShardedDnc and the workload harness
- * accept either.
+ * the wire by ShardLaneMemory (a ShardCoordinator, or one lane of a
+ * ShardLaneGroup); ShardedDnc and the workload harness accept either.
  */
 class TileMemory
 {

@@ -1,38 +1,18 @@
 /**
  * @file
- * Shard coordinator: the client side of multi-process DNC-D.
+ * ShardCoordinator: the synchronous client side of multi-process
+ * DNC-D, behind the TileMemory surface.
  *
- * Implements the same TileMemory stepping surface as the in-process
- * DncD, but over worker channels: each step it scatters per-tile
- * interface vectors (scored-head mask included, so workers only compute
- * the confidence logits the merge will use), gathers every tile's read
- * vectors + logits, and performs the exact confidence-softmax merge —
- * through the *same* ConfidenceGate and mergeTileReadouts code DncD
- * runs, so a sharded deployment is bit-identical per step to the
- * in-process model by construction (proven over loopback and real
- * sockets in tests/test_shard.cpp).
- *
- * Scatter/gather is synchronous fan-out: send to every channel first,
- * then collect replies in channel order — workers on distinct processes
- * overlap their compute while the coordinator is still draining
- * earlier replies. Sequence numbers pair requests with replies; any
- * protocol violation (bad frame, seq mismatch, worker Error) is fatal:
- * a serving stack must never continue on a diverged shard.
- *
- * Wire v3 fault tolerance: with a respawner installed (setRespawner)
- * and a nonzero DncConfig::shardCheckpointIntervalSteps, the
- * coordinator periodically pulls a CheckpointState snapshot of every
- * worker's tiles and keeps a replay log of every frame sent since that
- * snapshot. A worker loss (recv timeout or closed channel) then
- * recovers instead of dying: respawn a replacement, Rejoin it onto the
- * lost assignment, Restore the checkpoint slice, replay the logged
- * window (replies discarded — the coordinator-side gate already
- * advanced through those steps), and re-issue the in-flight frame. The
- * recovered run is bit-identical to an undisturbed one because all
- * merge state (ConfidenceGate alphas) lives coordinator-side and tile
- * state is restored exactly. The same checkpoint frames also implement
- * live migration (migrateWorker) and fleet re-dealing (rescale), both
- * usable without a respawner.
+ * It is a ShardLaneGroup (pipeline.h) with one lane, stepped one round
+ * trip at a time — a window of one — and viewed as TileMemory through
+ * the same ShardLaneMemory a multi-lane group hands out per lane. So
+ * there is exactly one scatter/gather/merge, checkpoint and recovery
+ * implementation: broadcast steps, per-tile (learned write sharding)
+ * steps, episode controls, checkpoint pulls, respawn + restore +
+ * replay, live migration, rescale and the fleet scrape all come from
+ * the group. A sharded deployment is bit-identical per step to the
+ * in-process DncD by construction (proven over loopback, unix, tcp and
+ * shm in tests/test_shard.cpp).
  */
 
 #ifndef HIMA_SHARD_COORDINATOR_H
@@ -41,23 +21,19 @@
 #include <memory>
 #include <vector>
 
-#include "dnc/dncd.h"
-#include "shard/transport.h"
-#include "shard/wire.h"
+#include "shard/pipeline.h"
 
 namespace hima {
 
-class ShardWorker;
-
 /** Drives remote DNC-D tiles behind the TileMemory surface. */
-class ShardCoordinator final : public TileMemory
+class ShardCoordinator final : public ShardLaneGroup, public ShardLaneMemory
 {
   public:
     /**
-     * Connect and handshake. Tiles are dealt contiguously over the
-     * channels as evenly as possible (channel k hosts
-     * tiles/channels +- 1); every worker validates shapes and the
-     * fixed-point mode before the first step.
+     * Connect and handshake a one-lane fleet. Tiles are dealt
+     * contiguously over the channels as evenly as possible; every
+     * worker validates shapes and the fixed-point mode before the
+     * first step.
      *
      * @param config   global DNC shapes (memoryRows = global N)
      * @param tiles    total tile count Nt; must divide memoryRows
@@ -65,220 +41,22 @@ class ShardCoordinator final : public TileMemory
      * @param channels one connected channel per worker (1..tiles)
      * @param wantWeightings ship per-tile read/write weightings back so
      *        readouts carry the concatenated global view (DncD parity —
-     *        the golden harness needs it); serving paths turn it off to
-     *        keep step frames at R*W + R reals per tile
+     *        the golden harness needs it); serving paths turn it off
      */
     ShardCoordinator(const DncConfig &config, Index tiles,
                      MergePolicy policy,
                      std::vector<std::unique_ptr<Channel>> channels,
-                     bool wantWeightings = true);
+                     bool wantWeightings = true)
+        : ShardLaneGroup(config, tiles, /*lanes=*/1, policy,
+                         std::move(channels), wantWeightings),
+          ShardLaneMemory(*this, /*lane=*/0)
+    {}
 
-    /** Sends Shutdown to every worker. */
-    ~ShardCoordinator() override;
-
-    // --- TileMemory surface --------------------------------------------
-    MemoryReadout stepInterface(const InterfaceVector &iface) override;
-    MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &ifaces) override;
-    void reset() override;
-    void beginEpisode() override;
-    Index tiles() const override { return tiles_; }
-    const DncConfig &globalConfig() const override { return globalConfig_; }
-    const DncConfig &shardConfig() const override { return shardConfig_; }
-    const std::vector<std::vector<Real>> &lastAlphas() const override
-    {
-        return gate_.alphas();
-    }
-
-    // --- allocation-lean variants (buffers reused across steps) --------
-
-    /** Broadcast one interface to every tile (queries broadcast). */
-    void stepInterfaceInto(const InterfaceVector &iface,
-                           MemoryReadout &out) override;
-
-    /** Per-tile interfaces (learned write sharding). */
-    void stepInterfacesInto(const std::vector<InterfaceVector> &ifaces,
-                            MemoryReadout &out);
-
-    Index channelCount() const { return channels_.size(); }
-    const Channel &channel(Index k) const { return *channels_[k]; }
-
-    /** Steps completed since construction. */
-    std::uint64_t steps() const { return seq_; }
-
-    // --- fault tolerance (wire v3) -------------------------------------
-
-    /**
-     * Install the replacement-channel factory. Recovery is armed when a
-     * respawner is set AND shardCheckpointIntervalSteps > 0 AND
-     * failHard is off; otherwise a worker loss stays fatal (the pre-v3
-     * behavior).
-     */
-    void setRespawner(ShardRespawnFn respawner)
-    {
-        respawner_ = std::move(respawner);
-    }
-
-    /** Keep every worker loss fatal even when recovery is armed. */
-    void setFailHard(bool on) { failHard_ = on; }
-
-    /**
-     * Pull a checkpoint of every worker's tiles right now (also trims
-     * the replay log to empty). Callable between steps regardless of
-     * the configured cadence.
-     */
-    void checkpointNow();
-
-    /**
-     * Live migration: move worker k's tile slice onto `replacement`
-     * (a connected, unconfigured worker) and shut the old worker down.
-     * Quiesces via a fresh checkpoint pull, so the move is bit-exact
-     * and needs no replay. Works without a respawner.
-     */
-    void migrateWorker(Index k, std::unique_ptr<Channel> replacement);
-
-    /**
-     * Re-deal all tiles over a new fleet (scale-out or scale-in, e.g.
-     * 8 -> 16 workers mid-run): checkpoint, retire the old fleet,
-     * Rejoin + Restore the new one. Merge state is coordinator-side,
-     * so the re-dealt fleet resumes bit-identically.
-     */
-    void rescale(std::vector<std::unique_ptr<Channel>> channels);
-
-    /** Worker losses recovered (respawn + restore + replay). */
-    std::uint64_t recoveries() const { return recoveries_; }
-
-    /** Checkpoint pulls completed (periodic + forced). */
-    std::uint64_t checkpointsTaken() const { return checkpointsTaken_; }
-
-    // --- fleet telemetry scrape (wire v5) -------------------------------
-
-    /**
-     * Pull every worker's telemetry registry (StatsPull/StatsReport).
-     * `perWorker` is resized to one snapshot per worker in channel
-     * order; `aggregate` (cleared first) merges those reports with this
-     * coordinator process's own registry and every channel's wire
-     * traffic ("shard.wire.*" series). On a loopback fleet the workers
-     * share this process's registry, so the same process-wide series
-     * appear once per worker plus once for the coordinator — fleet
-     * totals stay meaningful for worker-local series (kernel.*,
-     * worker.*) only. Callable between steps; never on the step path.
-     */
-    void scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
-                       obs::Snapshot &aggregate);
-
-  private:
-    /** Gather replies after a scatter, then score + merge into `out`. */
-    void exchange(MemoryReadout &out);
-
-    void sendControl(ControlKind kind);
-
-    /** Deal tiles contiguously/evenly over channels_; size per-channel state. */
-    void dealTiles();
-
-    bool recoveryArmed() const
-    {
-        return static_cast<bool>(respawner_) && !failHard_ &&
-               globalConfig_.shardCheckpointIntervalSteps > 0;
-    }
-
-    /**
-     * Keep a resendable copy of the frame about to go to channel k
-     * (call between encode and commit — the writer may be targeting
-     * transport memory that commit() hands back to the ring).
-     */
-    void trackPending(Index k, const WireWriter &writer);
-
-    /**
-     * Receive channel k's next frame as a view (frameData_/frameSize_).
-     * Zero-copy on shm; elsewhere the bytes land in frame_ and the view
-     * points at it.
-     */
-    bool recvFrom(Index k);
-
-    /** recvFrom(k), recovering worker k on the first loss. */
-    void recvOrRecover(Index k, const char *what);
-
-    /** Respawn + Rejoin + Restore + replay; fatal when not armed. */
-    void recoverWorker(Index k, const char *what);
-
-    /** Rejoin handshake for worker k's assignment on channels_[k]. */
-    void rejoinWorker(Index k, const char *who);
-
-    /** Restore worker k's checkpoint slice; await the ControlAck. */
-    void restoreWorker(Index k, const char *who);
-
-    /** Append the in-flight per-channel frames to the replay log. */
-    void commitLog();
-
-    /** Commit the step's frames; pull a checkpoint when the cadence is due. */
-    void maybeCheckpoint();
-
-    void pullCheckpoints();
-
-    /** Pointer slice of checkpoints_ covering worker k's tiles. */
-    MemoryTileState *const *snapshotSlice(Index k);
-
-    DncConfig globalConfig_;
-    DncConfig shardConfig_;
-    Index tiles_;
-    MergePolicy policy_;
-    bool wantWeightings_;
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<Index> firstTile_; ///< per channel
-    std::vector<Index> tileCount_; ///< per channel
-
-    ConfidenceGate gate_;
-    std::uint64_t seq_ = 0;
-    std::uint64_t controlSeq_ = 0;
-
-    // Reused per-step state. frame_ is recv scratch; frameData_/
-    // frameSize_ view the last received frame (a borrowed shm slot or
-    // frame_ itself).
-    WireWriter writer_;
-    std::vector<std::uint8_t> frame_;
-    const std::uint8_t *frameData_ = nullptr;
-    std::size_t frameSize_ = 0;
-    std::vector<StepReplyMsg> replies_;          ///< per channel
-    std::vector<const MemoryReadout *> localPtrs_; ///< per global tile
-    std::vector<Real> scoreScratch_; ///< scoredHeads x tiles, row-major
-
-    // Fault tolerance: checkpoint store + replay log (wire v3). All
-    // ring/buffer reuse below is deliberate — a steady state that
-    // includes checkpointing allocates nothing once warm.
-    ShardRespawnFn respawner_;
-    bool failHard_ = false;
-    std::uint64_t recoveries_ = 0;
-    std::uint64_t checkpointsTaken_ = 0;
-    std::uint64_t checkpointSeq_ = 0;
-    std::uint64_t statsSeq_ = 0; ///< scrape round ids (StatsPull seq)
-    std::uint64_t stepsSinceCheckpoint_ = 0;
-    bool checkpointValid_ = false; ///< checkpoints_ holds a real pull
-    std::vector<MemoryTileState> checkpoints_;    ///< per global tile
-    std::vector<MemoryTileState *> snapshotPtrs_; ///< slice scratch
-    /** In-flight frame per channel (resent after a recovery). */
-    std::vector<std::vector<std::uint8_t>> pendingFrames_;
-    /** Replay ring: log_[entry][channel], first logCount_ entries live. */
-    std::vector<std::vector<std::vector<std::uint8_t>>> log_;
-    std::size_t logCount_ = 0;
+    // Both bases name these (same values); resolve to the TileMemory side.
+    using ShardLaneMemory::globalConfig;
+    using ShardLaneMemory::shardConfig;
+    using ShardLaneMemory::tiles;
 };
-
-/**
- * An in-process sharded stack: `workerCount` loopback workers hosting
- * `tiles` tiles behind one coordinator. The workers outlive the
- * coordinator (the channels' service closures own them); handles are
- * returned so tests can inspect hosted tile state directly.
- */
-struct LoopbackShard
-{
-    std::unique_ptr<ShardCoordinator> coordinator;
-    std::vector<std::shared_ptr<ShardWorker>> workers;
-};
-
-LoopbackShard makeLoopbackShard(const DncConfig &config, Index tiles,
-                                Index workerCount,
-                                MergePolicy policy = MergePolicy::Confidence,
-                                bool wantWeightings = true);
 
 } // namespace hima
 

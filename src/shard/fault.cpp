@@ -11,13 +11,14 @@ FaultInjector::arm(const FaultSpec &spec)
     spec_ = spec;
     frames_ = 0;
     stepFrames_ = 0;
-    dead_ = false;
+    dead_.store(false, std::memory_order_release);
+    armed_.store(spec.any(), std::memory_order_release);
 }
 
 bool
 FaultInjector::onFrame(bool isStepFrame)
 {
-    if (dead_)
+    if (dead())
         return true;
     if (!armed())
         return false;
@@ -25,12 +26,12 @@ FaultInjector::onFrame(bool isStepFrame)
     if (isStepFrame)
         ++stepFrames_;
     if (spec_.dropAtFrame != 0 && frames_ == spec_.dropAtFrame) {
-        dead_ = true;
+        dead_.store(true, std::memory_order_release);
         return true;
     }
     if (isStepFrame && spec_.killAtStepFrame != 0 &&
         stepFrames_ == spec_.killAtStepFrame) {
-        dead_ = true;
+        dead_.store(true, std::memory_order_release);
         return true;
     }
     if (isStepFrame && spec_.delayAtStepFrame != 0 &&

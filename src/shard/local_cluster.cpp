@@ -23,7 +23,8 @@ clusterShmSlotBytes(const DncConfig &config, Index tiles, Index lanes,
                     Index workerCount)
 {
     const Index hosted = (tiles + workerCount - 1) / workerCount;
-    return shmSlotBytesFor(shardConfigFor(config, tiles), hosted, lanes);
+    return shmSlotBytesFor(shardConfigFor(config, tiles), tiles, hosted,
+                           lanes);
 }
 
 /**
@@ -48,6 +49,28 @@ buildChannels(ClusterTransport transport, const DncConfig &config,
         channels.push_back(makeClusterWorker(transport, workers, threads,
                                              slotBytes, timeoutMs));
     return channels;
+}
+
+/** Install a respawner on `group` that builds replacements on `transport`. */
+std::shared_ptr<RespawnHarness>
+armGroupRecovery(ShardLaneGroup &group, ClusterTransport transport)
+{
+    auto harness = std::make_shared<RespawnHarness>();
+    harness->transport = transport;
+    // Replacement channels must host the same frames the fleet does —
+    // size their rings from the group's own shard shape.
+    harness->shmSlotBytes = shmSlotBytesFor(
+        group.shardConfig(), group.tiles(),
+        (group.tiles() + group.channelCount() - 1) / group.channelCount(),
+        group.lanes());
+    harness->recvTimeoutMs =
+        static_cast<int>(group.globalConfig().shardRecvTimeoutMs);
+    group.setRespawner([harness](Index) {
+        return makeClusterWorker(harness->transport, harness->workers,
+                                 harness->threads, harness->shmSlotBytes,
+                                 harness->recvTimeoutMs);
+    });
+    return harness;
 }
 
 } // namespace
@@ -159,43 +182,13 @@ makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
 std::shared_ptr<RespawnHarness>
 armClusterRecovery(LocalShardCluster &cluster, ClusterTransport transport)
 {
-    auto harness = std::make_shared<RespawnHarness>();
-    harness->transport = transport;
-    // Replacement channels must host the same frames the fleet does —
-    // size their rings from the coordinator's own shard shape.
-    harness->shmSlotBytes = shmSlotBytesFor(
-        cluster.coordinator->shardConfig(),
-        (cluster.coordinator->tiles() +
-         cluster.coordinator->channelCount() - 1) /
-            cluster.coordinator->channelCount());
-    harness->recvTimeoutMs = static_cast<int>(
-        cluster.coordinator->globalConfig().shardRecvTimeoutMs);
-    cluster.coordinator->setRespawner([harness](Index) {
-        return makeClusterWorker(harness->transport, harness->workers,
-                                 harness->threads, harness->shmSlotBytes,
-                                 harness->recvTimeoutMs);
-    });
-    return harness;
+    return armGroupRecovery(*cluster.coordinator, transport);
 }
 
 std::shared_ptr<RespawnHarness>
 armClusterRecovery(LocalLaneCluster &cluster, ClusterTransport transport)
 {
-    auto harness = std::make_shared<RespawnHarness>();
-    harness->transport = transport;
-    harness->shmSlotBytes = shmSlotBytesFor(
-        cluster.group->shardConfig(),
-        (cluster.group->tiles() + cluster.group->channelCount() - 1) /
-            cluster.group->channelCount(),
-        cluster.group->lanes());
-    harness->recvTimeoutMs =
-        static_cast<int>(cluster.group->globalConfig().shardRecvTimeoutMs);
-    cluster.group->setRespawner([harness](Index) {
-        return makeClusterWorker(harness->transport, harness->workers,
-                                 harness->threads, harness->shmSlotBytes,
-                                 harness->recvTimeoutMs);
-    });
-    return harness;
+    return armGroupRecovery(*cluster.group, transport);
 }
 
 } // namespace hima

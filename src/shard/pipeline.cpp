@@ -1,5 +1,6 @@
 #include "shard/pipeline.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/obs.h"
@@ -62,33 +63,18 @@ ShardLaneGroup::ShardLaneGroup(
     HIMA_ASSERT(config.readHeads <= 32,
                 "scored-head mask supports up to 32 read heads");
     gates_.resize(lanes);
+    stepsSinceCheckpoint_.assign(lanes, 0);
 
     dealTiles();
-    const Index chans = channels_.size();
-
-    for (Index k = 0; k < chans; ++k) {
+    // Config handshake: every worker validates shapes, datapath mode
+    // and its assignment before any step traffic.
+    for (Index k = 0; k < channels_.size(); ++k) {
         FrameScope frame(*channels_[k], writer_);
-        encodeHello(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                          lanes),
-                    frame.writer());
+        encodeHello(wireConfigFor(k), frame.writer());
         frame.commit();
     }
-    for (Index k = 0; k < chans; ++k) {
-        HelloAckMsg ack;
-        if (!recvFrom(k) || !decodeHelloAck(frameData_, frameSize_, ack))
-            HIMA_FATAL("lane-group handshake: worker %zu sent no valid "
-                       "ack",
-                       k);
-        if (!ack.ok)
-            HIMA_FATAL("lane-group handshake: worker %zu rejected config: "
-                       "%s",
-                       k, ack.message.c_str());
-        if (ack.hostedTiles != tileCount_[k])
-            HIMA_FATAL("lane-group handshake: worker %zu hosts %llu "
-                       "tiles, expected %zu",
-                       k, static_cast<unsigned long long>(ack.hostedTiles),
-                       tileCount_[k]);
-    }
+    for (Index k = 0; k < channels_.size(); ++k)
+        expectHelloAck(k, "shard handshake");
 
     localPtrs_.resize(tiles_);
 }
@@ -97,7 +83,7 @@ void
 ShardLaneGroup::dealTiles()
 {
     // Deal tiles contiguously and as evenly as possible (the same
-    // layout as ShardCoordinator, repeated per lane on each worker).
+    // layout repeated per lane on each worker).
     const Index chans = channels_.size();
     firstTile_.clear();
     tileCount_.clear();
@@ -109,6 +95,31 @@ ShardLaneGroup::dealTiles()
         next += count;
     }
     replies_.resize(chans);
+}
+
+WireConfig
+ShardLaneGroup::wireConfigFor(Index k) const
+{
+    WireConfig wire =
+        WireConfig::fromShard(shardConfig_, tileCount_[k], gates_.size());
+    wire.tiles = tiles_;
+    wire.firstTile = firstTile_[k];
+    return wire;
+}
+
+void
+ShardLaneGroup::expectHelloAck(Index k, const char *who)
+{
+    HelloAckMsg ack;
+    if (!recvFrom(k) || !decodeHelloAck(frameData_, frameSize_, ack))
+        HIMA_FATAL("%s: worker %zu sent no valid ack", who, k);
+    if (!ack.ok)
+        HIMA_FATAL("%s: worker %zu rejected config: %s", who, k,
+                   ack.message.c_str());
+    if (ack.hostedTiles != tileCount_[k])
+        HIMA_FATAL("%s: worker %zu hosts %llu tiles, expected %zu", who, k,
+                   static_cast<unsigned long long>(ack.hostedTiles),
+                   tileCount_[k]);
 }
 
 ShardLaneGroup::~ShardLaneGroup()
@@ -130,10 +141,32 @@ void
 ShardLaneGroup::scatter(const std::vector<Index> &lanes,
                         const std::vector<const InterfaceVector *> &ifaces)
 {
-    HIMA_ASSERT(pendingCount_ < kMaxInFlight,
-                "scatter window full (%zu in flight)", pendingCount_);
     HIMA_ASSERT(!lanes.empty() && lanes.size() == ifaces.size(),
                 "scatter needs one interface per lane");
+    entryScratch_.resize(lanes.size());
+    for (Index j = 0; j < lanes.size(); ++j) {
+        entryScratch_[j].lane = static_cast<std::uint32_t>(lanes[j]);
+        entryScratch_[j].iface = ifaces[j];
+        entryScratch_[j].tileIfaces = 0;
+    }
+    scatterEntries();
+}
+
+void
+ShardLaneGroup::scatterEntries()
+{
+    HIMA_ASSERT(pendingCount_ < kMaxInFlight,
+                "scatter window full (%zu in flight)", pendingCount_);
+    Pending &slot =
+        pending_[(pendingHead_ + pendingCount_) % kMaxInFlight];
+    slot.lanes.resize(entryScratch_.size());
+    for (Index j = 0; j < entryScratch_.size(); ++j) {
+        const Index lane = entryScratch_[j].lane;
+        HIMA_ASSERT(lane < gates_.size(), "lane %zu out of range", lane);
+        HIMA_ASSERT(j == 0 || lane > slot.lanes[j - 1],
+                    "scatter lanes must be strictly increasing");
+        slot.lanes[j] = lane;
+    }
     // A lane in two outstanding batches would race on its tiles and
     // its gate; both lane lists are ascending, so a two-pointer sweep
     // catches the overlap cheaply.
@@ -141,11 +174,11 @@ ShardLaneGroup::scatter(const std::vector<Index> &lanes,
         const std::vector<Index> &prev =
             pending_[(pendingHead_ + b) % kMaxInFlight].lanes;
         Index i = 0, j = 0;
-        while (i < prev.size() && j < lanes.size()) {
-            HIMA_ASSERT(prev[i] != lanes[j],
+        while (i < prev.size() && j < slot.lanes.size()) {
+            HIMA_ASSERT(prev[i] != slot.lanes[j],
                         "lane %zu is already in an outstanding batch",
-                        lanes[j]);
-            if (prev[i] < lanes[j])
+                        slot.lanes[j]);
+            if (prev[i] < slot.lanes[j])
                 ++i;
             else
                 ++j;
@@ -153,34 +186,22 @@ ShardLaneGroup::scatter(const std::vector<Index> &lanes,
     }
 
     // Select the scored heads per lane *now* (alpha history is
-    // per-lane, so batches touching disjoint lanes commute), and build
-    // the shared frame: lane-addressed, so every worker receives the
-    // identical bytes — one encode per batch.
-    entryScratch_.resize(lanes.size());
-    for (Index j = 0; j < lanes.size(); ++j) {
-        const Index lane = lanes[j];
-        HIMA_ASSERT(lane < gates_.size(), "lane %zu out of range", lane);
-        HIMA_ASSERT(j == 0 || lanes[j] > lanes[j - 1],
-                    "scatter lanes must be strictly increasing");
-        entryScratch_[j].lane = static_cast<std::uint32_t>(lane);
-        entryScratch_[j].scoredMask = maskOf(gates_[lane].selectHeads(
-            *ifaces[j], policy_, globalConfig_.readHeads, tiles_));
-        entryScratch_[j].iface = ifaces[j];
-    }
+    // per-lane, so batches touching disjoint lanes commute) from the
+    // interface every tile scores with.
+    for (LaneStepEntry &entry : entryScratch_)
+        entry.scoredMask = maskOf(gates_[entry.lane].selectHeads(
+            *entry.iface, policy_, globalConfig_.readHeads, tiles_));
 
-    obs::TraceSpan span("shard.scatter", lanes.size());
+    obs::TraceSpan span("shard.scatter", entryScratch_.size());
     const std::uint64_t seq = ++seq_;
-    Pending &slot =
-        pending_[(pendingHead_ + pendingCount_) % kMaxInFlight];
     slot.seq = seq;
-    slot.lanes.assign(lanes.begin(), lanes.end());
     // The frame is identical on every channel, but zero-copy channels
     // encode straight into their own ring slot, so encode per channel:
-    // the encoder's array stores cost exactly what the old
-    // encode-once-then-memcpy-per-channel scheme cost, and the shm hot
+    // the encoder's array stores cost exactly what an
+    // encode-once-then-memcpy-per-channel scheme would, and the shm hot
     // path moves no extra copy of the Real arrays. SocketChannel's
-    // sendFrame is its queueFrame + flush, so syscall counts are
-    // unchanged (one frame per channel per scatter).
+    // sendFrame is its queueFrame + flush, so the syscall count is one
+    // frame per channel per scatter.
     for (Index k = 0; k < channels_.size(); ++k) {
         FrameScope frame(*channels_[k], writer_);
         encodeLaneStep(seq, wantWeightings_, entryScratch_.data(),
@@ -226,18 +247,7 @@ ShardLaneGroup::gather(const std::vector<MemoryReadout *> &outs)
                 if (!recvFrom(k))
                     shardRecvFailure(*channels_[k], "batch", p.seq, k);
             }
-            MsgType type;
-            if (!peekType(frameData_, frameSize_, type))
-                HIMA_FATAL("shard batch %llu: worker %zu sent a "
-                           "malformed frame",
-                           static_cast<unsigned long long>(p.seq), k);
-            if (type == MsgType::Error) {
-                ErrorMsg err;
-                decodeError(frameData_, frameSize_, err);
-                HIMA_FATAL("shard batch %llu: worker %zu error: %s",
-                           static_cast<unsigned long long>(p.seq), k,
-                           err.message.c_str());
-            }
+            failOnError(k, "batch", p.seq);
             LaneStepReplyMsg &reply = replies_[k];
             if (!decodeLaneStepReply(frameData_, frameSize_, shardConfig_,
                                      tileCount_[k], p.lanes.size(),
@@ -268,8 +278,10 @@ ShardLaneGroup::gather(const std::vector<MemoryReadout *> &outs)
         }
     }
 
-    // Per-lane confidence merge — the same gate + mergeTileReadouts the
-    // in-process DncD runs, so a lane of a group cannot drift from it.
+    // Per-lane distributed confidence merge: softmax over the gathered
+    // (head x tile) logits, then the Eq. 4 weighted sum — the same gate
+    // and mergeTileReadouts the in-process DncD runs, so a lane cannot
+    // drift from it.
     {
         obs::TraceSpan mergeSpan("shard.merge", p.lanes.size());
         for (Index j = 0; j < p.lanes.size(); ++j) {
@@ -309,12 +321,15 @@ ShardLaneGroup::gather(const std::vector<MemoryReadout *> &outs)
 
     if (recoveryArmed()) {
         commitLog(p.bytes);
-        laneStepsSinceCheckpoint_ += p.lanes.size();
-        // Checkpoint only at a gather that empties the window, so the
-        // pull never interleaves with an outstanding batch.
-        if (pendingCount_ == 0 &&
-            laneStepsSinceCheckpoint_ >=
+        // The cadence counts steps per lane: pull once any lane has
+        // stepped `interval` times since the last pull. Pull only at a
+        // gather that empties the window, so the pull never
+        // interleaves with an outstanding batch.
+        for (Index lane : p.lanes)
+            if (++stepsSinceCheckpoint_[lane] >=
                 globalConfig_.shardCheckpointIntervalSteps)
+                checkpointDue_ = true;
+        if (pendingCount_ == 0 && checkpointDue_)
             pullCheckpoints();
     }
 }
@@ -323,14 +338,76 @@ void
 ShardLaneGroup::stepLaneInto(Index lane, const InterfaceVector &iface,
                              MemoryReadout &out)
 {
+    stepOneLane(lane, &iface, 0, out);
+}
+
+void
+ShardLaneGroup::stepLaneInto(Index lane,
+                             const std::vector<InterfaceVector> &ifaces,
+                             MemoryReadout &out)
+{
+    HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
+    for (Index t = 1; t < tiles_; ++t) {
+        HIMA_ASSERT(ifaces[t].readStrengths == ifaces[0].readStrengths,
+                    "tile %zu read strengths diverge from the broadcast",
+                    t);
+        for (Index h = 0; h < globalConfig_.readHeads; ++h)
+            HIMA_ASSERT(ifaces[t].readKeys[h] == ifaces[0].readKeys[h],
+                        "tile %zu read key %zu diverges from the "
+                        "broadcast",
+                        t, h);
+    }
+    stepOneLane(lane, ifaces.data(), tiles_, out);
+}
+
+void
+ShardLaneGroup::stepOneLane(Index lane, const InterfaceVector *iface,
+                            Index tileIfaces, MemoryReadout &out)
+{
     HIMA_ASSERT(pendingCount_ == 0,
                 "stepLaneInto while %zu batches are in flight",
                 pendingCount_);
-    laneScratch_.assign(1, lane);
-    ifaceScratch_.assign(1, &iface);
+    entryScratch_.assign(
+        1, LaneStepEntry{static_cast<std::uint32_t>(lane), 0, iface,
+                         tileIfaces});
+    scatterEntries();
     outScratch_.assign(1, &out);
-    scatter(laneScratch_, ifaceScratch_);
     gather(outScratch_);
+}
+
+void
+ShardLaneGroup::broadcastFrame()
+{
+    for (auto &channel : channels_)
+        channel->sendFrame(writer_.buffer().data(), writer_.buffer().size());
+    if (recoveryArmed())
+        resendScratch_.assign(writer_.buffer().begin(),
+                              writer_.buffer().end());
+}
+
+void
+ShardLaneGroup::recvOrRecover(Index k, const char *what, std::uint64_t seq)
+{
+    if (recvFrom(k))
+        return;
+    recoverWorker(k, what, seq); // fatal unless armed
+    channels_[k]->sendFrame(resendScratch_.data(), resendScratch_.size());
+    if (!recvFrom(k))
+        shardRecvFailure(*channels_[k], what, seq, k);
+}
+
+void
+ShardLaneGroup::failOnError(Index k, const char *what,
+                            std::uint64_t seq) const
+{
+    MsgType type;
+    if (!peekType(frameData_, frameSize_, type) || type != MsgType::Error)
+        return;
+    ErrorMsg err;
+    decodeError(frameData_, frameSize_, err);
+    HIMA_FATAL("shard %s %llu: worker %zu error: %s", what,
+               static_cast<unsigned long long>(seq), k,
+               err.message.c_str());
 }
 
 void
@@ -344,28 +421,16 @@ ShardLaneGroup::sendControl(ControlKind kind, std::uint32_t lane)
     msg.seq = ++controlSeq_;
     msg.lane = lane;
     encodeControl(msg, writer_);
-    for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(), writer_.buffer().size());
-    if (recoveryArmed()) {
-        // Controls mutate worker state (tile resets), so a replacement
-        // must replay them in order with the lane steps. The scratch
-        // copy also survives recoverWorker() reusing writer_.
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
-    }
+    broadcastFrame();
     for (Index k = 0; k < channels_.size(); ++k) {
         std::uint64_t seq = 0;
-        if (!recvFrom(k)) {
-            recoverWorker(k, "control", msg.seq);
-            channels_[k]->sendFrame(resendScratch_.data(),
-                                    resendScratch_.size());
-            if (!recvFrom(k))
-                shardRecvFailure(*channels_[k], "control", msg.seq, k);
-        }
+        recvOrRecover(k, "control", msg.seq);
         if (!decodeControlAck(frameData_, frameSize_, seq) ||
             seq != msg.seq)
             HIMA_FATAL("shard control: worker %zu did not acknowledge", k);
     }
+    // Controls mutate worker state (tile resets), so a replacement
+    // must replay them in order with the lane steps.
     if (recoveryArmed())
         commitLog(resendScratch_);
     if (lane == kAllLanes) {
@@ -430,36 +495,16 @@ ShardLaneGroup::pullCheckpoints()
                 "shard checkpoint while %zu batches are in flight",
                 pendingCount_);
     obs::TraceSpan span("shard.checkpoint_pull");
-    const Index chans = channels_.size();
     checkpoints_.resize(gates_.size() * tiles_);
     ++checkpointSeq_;
     encodeCheckpointRequest(checkpointSeq_, writer_);
-    for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(),
-                           writer_.buffer().size());
-    if (recoveryArmed())
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
-    for (Index k = 0; k < chans; ++k) {
-        if (!recvFrom(k)) {
-            // Mid-pull loss: recover from the *previous* checkpoint
-            // plus the still-uncleared log, then re-ask for this one.
-            recoverWorker(k, "checkpoint", checkpointSeq_);
-            channels_[k]->sendFrame(resendScratch_.data(),
-                                    resendScratch_.size());
-            if (!recvFrom(k))
-                shardRecvFailure(*channels_[k], "checkpoint",
-                                 checkpointSeq_, k);
-        }
-        MsgType type;
-        if (peekType(frameData_, frameSize_, type) &&
-            type == MsgType::Error) {
-            ErrorMsg err;
-            decodeError(frameData_, frameSize_, err);
-            HIMA_FATAL("shard checkpoint %llu: worker %zu error: %s",
-                       static_cast<unsigned long long>(checkpointSeq_), k,
-                       err.message.c_str());
-        }
+    broadcastFrame();
+    for (Index k = 0; k < channels_.size(); ++k) {
+        // A loss mid-pull recovers from the *previous* checkpoint plus
+        // the still-uncleared log, then re-asks for this one; slices
+        // already written for earlier workers are irrelevant to it.
+        recvOrRecover(k, "checkpoint", checkpointSeq_);
+        failOnError(k, "checkpoint", checkpointSeq_);
         std::uint64_t seq = 0;
         if (!decodeCheckpointState(frameData_, frameSize_,
                                    shardConfig_, snapshotSlice(k),
@@ -471,7 +516,9 @@ ShardLaneGroup::pullCheckpoints()
     }
     checkpointValid_ = true;
     ++checkpointsTaken_;
-    laneStepsSinceCheckpoint_ = 0;
+    std::fill(stepsSinceCheckpoint_.begin(), stepsSinceCheckpoint_.end(),
+              0);
+    checkpointDue_ = false;
     logCount_ = 0; // ring buffers kept: the next window reuses them
     GroupMetrics::get().checkpoints->add();
 }
@@ -483,34 +530,13 @@ ShardLaneGroup::scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
     HIMA_ASSERT(pendingCount_ == 0,
                 "shard stats scrape while %zu batches are in flight",
                 pendingCount_);
-    const Index chans = channels_.size();
-    perWorker.resize(chans);
+    perWorker.resize(channels_.size());
     ++statsSeq_;
     encodeStatsPull(statsSeq_, writer_);
-    for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(),
-                           writer_.buffer().size());
-    if (recoveryArmed())
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
-    for (Index k = 0; k < chans; ++k) {
-        if (!recvFrom(k)) {
-            recoverWorker(k, "stats scrape", statsSeq_);
-            channels_[k]->sendFrame(resendScratch_.data(),
-                                    resendScratch_.size());
-            if (!recvFrom(k))
-                shardRecvFailure(*channels_[k], "stats scrape", statsSeq_,
-                                 k);
-        }
-        MsgType type;
-        if (peekType(frameData_, frameSize_, type) &&
-            type == MsgType::Error) {
-            ErrorMsg err;
-            decodeError(frameData_, frameSize_, err);
-            HIMA_FATAL("shard stats scrape %llu: worker %zu error: %s",
-                       static_cast<unsigned long long>(statsSeq_), k,
-                       err.message.c_str());
-        }
+    broadcastFrame();
+    for (Index k = 0; k < channels_.size(); ++k) {
+        recvOrRecover(k, "stats scrape", statsSeq_);
+        failOnError(k, "stats scrape", statsSeq_);
         std::uint64_t seq = 0;
         if (!decodeStatsReport(frameData_, frameSize_, perWorker[k],
                                seq) ||
@@ -520,6 +546,8 @@ ShardLaneGroup::scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
                        static_cast<unsigned long long>(statsSeq_), k);
     }
 
+    // Fleet view: this process's registry + every worker's report +
+    // the coordinator-side wire counters (its tx is the workers' rx).
     obs::processSnapshot(aggregate);
     for (const obs::Snapshot &report : perWorker)
         aggregate.merge(report);
@@ -542,17 +570,10 @@ ShardLaneGroup::rejoinWorker(Index k, const char *who)
 {
     {
         FrameScope frame(*channels_[k], writer_);
-        encodeRejoin(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                           gates_.size()),
-                     firstTile_[k], frame.writer());
+        encodeRejoin(wireConfigFor(k), frame.writer());
         frame.commit();
     }
-    HelloAckMsg ack;
-    if (!recvFrom(k) ||
-        !decodeHelloAck(frameData_, frameSize_, ack) || !ack.ok ||
-        ack.hostedTiles != tileCount_[k])
-        HIMA_FATAL("%s: worker %zu failed the Rejoin handshake%s%s", who, k,
-                   ack.message.empty() ? "" : ": ", ack.message.c_str());
+    expectHelloAck(k, who);
 }
 
 void
@@ -591,6 +612,8 @@ ShardLaneGroup::recoverWorker(Index k, const char *what, std::uint64_t seq)
                    k);
     channels_[k] = std::move(fresh);
 
+    // The replacement validates shapes and builds zeroed tiles (the
+    // t=0 state) exactly like Hello, then takes the lost assignment.
     rejoinWorker(k, "shard recovery");
     // Before the first pull there is nothing to restore: freshly built
     // tiles already hold the t=0 state the log replays from.
@@ -598,9 +621,9 @@ ShardLaneGroup::recoverWorker(Index k, const char *what, std::uint64_t seq)
         restoreWorker(k, "shard recovery");
 
     // Replay the logged window; replies are drained and discarded (the
-    // per-lane gates already advanced through these frames).
-    // Each replayed frame's reply is drained before the next send, so
-    // the window can exceed an shm reply ring's slot count without
+    // per-lane gates already advanced through these frames). Each
+    // replayed frame's reply is drained before the next send, so the
+    // window can exceed an shm reply ring's slot count without
     // deadlock.
     for (std::size_t e = 0; e < logCount_; ++e) {
         channels_[k]->sendFrame(log_[e].data(), log_[e].size());
@@ -668,69 +691,31 @@ ShardLaneGroup::rescale(std::vector<std::unique_ptr<Channel>> channels)
     }
 }
 
-// --------------------------------------------------------------------
-// LaneMemoryView: one lane behind the TileMemory surface.
-// --------------------------------------------------------------------
-
-namespace {
-
-class LaneMemoryView final : public TileMemory
-{
-  public:
-    LaneMemoryView(ShardLaneGroup &group, Index lane)
-        : group_(group), lane_(lane)
-    {}
-
-    MemoryReadout
-    stepInterface(const InterfaceVector &iface) override
-    {
-        MemoryReadout out;
-        group_.stepLaneInto(lane_, iface, out);
-        return out;
-    }
-
-    MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &) override
-    {
-        HIMA_FATAL("lane views carry broadcast steps only; per-tile "
-                   "write sharding runs on ShardCoordinator");
-    }
-
-    void
-    stepInterfaceInto(const InterfaceVector &iface,
-                      MemoryReadout &out) override
-    {
-        group_.stepLaneInto(lane_, iface, out);
-    }
-
-    void reset() override { group_.resetLane(lane_); }
-    void beginEpisode() override { group_.admitLane(lane_); }
-    Index tiles() const override { return group_.tiles(); }
-    const DncConfig &globalConfig() const override
-    {
-        return group_.globalConfig();
-    }
-    const DncConfig &shardConfig() const override
-    {
-        return group_.shardConfig();
-    }
-    const std::vector<std::vector<Real>> &lastAlphas() const override
-    {
-        return group_.laneAlphas(lane_);
-    }
-
-  private:
-    ShardLaneGroup &group_;
-    Index lane_;
-};
-
-} // namespace
-
 std::unique_ptr<TileMemory>
 ShardLaneGroup::laneMemory(Index lane)
 {
     HIMA_ASSERT(lane < gates_.size(), "lane %zu out of range", lane);
-    return std::make_unique<LaneMemoryView>(*this, lane);
+    return std::make_unique<ShardLaneMemory>(*this, lane);
+}
+
+// --------------------------------------------------------------------
+// ShardLaneMemory: one lane behind the TileMemory surface.
+// --------------------------------------------------------------------
+
+MemoryReadout
+ShardLaneMemory::stepInterface(const InterfaceVector &iface)
+{
+    MemoryReadout out;
+    group_.stepLaneInto(lane_, iface, out);
+    return out;
+}
+
+MemoryReadout
+ShardLaneMemory::stepInterfaces(const std::vector<InterfaceVector> &ifaces)
+{
+    MemoryReadout out;
+    group_.stepLaneInto(lane_, ifaces, out);
+    return out;
 }
 
 } // namespace hima

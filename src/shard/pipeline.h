@@ -1,19 +1,27 @@
 /**
  * @file
- * Pipelined multi-lane shard serving: the coordinator side of the
- * lane-batched wire protocol (wire.h, version 2).
+ * The shard coordinator: the client side of multi-process DNC-D
+ * (Sec. 5.1, Fig. 8) and of the lane-batched wire protocol (wire.h).
  *
- * The synchronous ShardCoordinator owns one lane and pays one full
- * round trip per step; at high tile counts the socket latency of that
- * round trip is the throughput ceiling (see the in_process-vs-tcp gap
- * in BENCH_shard.json). ShardLaneGroup buys the gap back with the two
- * overlap tricks throughput-oriented serving systems use:
+ * ShardLaneGroup is the one scatter -> gather -> merge implementation.
+ * A fleet of workers hosts `lanes` independent tile sets; each step
+ * scatters interface vectors (scored-head mask included, so workers
+ * only compute the confidence logits the merge will use), gathers
+ * every tile's read vectors + logits, and runs the exact
+ * confidence-softmax merge through the *same* ConfidenceGate and
+ * mergeTileReadouts code DncD runs, so every lane is bit-identical per
+ * step to the in-process model by construction. The synchronous
+ * ShardCoordinator (coordinator.h) is a group with one lane stepped
+ * with a window of one.
+ *
+ * Two overlap tricks buy back the socket round trip that caps a
+ * synchronous step at high tile counts:
  *
  *   - lane batching: one LaneStep frame per worker carries k lanes'
- *     broadcast interfaces, so syscalls, wakeups and framing amortize
- *     k-fold — and because the frame is lane-addressed (not
- *     tile-addressed), the *same* encoded bytes go to every worker:
- *     one encode per batch, not per channel;
+ *     interfaces, so syscalls, wakeups and framing amortize k-fold —
+ *     and because the frame is lane-addressed (not tile-addressed),
+ *     the *same* bytes go to every worker. A per-tile entry (learned
+ *     write sharding) carries all Nt interfaces for the same reason;
  *
  *   - a double-buffered step window: up to kMaxInFlight batches may be
  *     outstanding per channel (scatter B before gathering A), so the
@@ -22,11 +30,11 @@
  *
  * Lanes are independent tile sets on the workers, so any interleaving
  * of batches is bit-identical per lane to the synchronous schedule —
- * each lane still sees the strict controller -> tiles -> merge order.
- * Per-lane state here is exactly the sync coordinator's (a
- * ConfidenceGate per lane; the same mergeTileReadouts), so a lane of a
- * group must match the in-process DncD bit for bit, proven in
- * tests/test_shard.cpp across transports x tiles x threads x datapath.
+ * each lane still sees the strict controller -> tiles -> merge order
+ * (proven in tests/test_shard.cpp across transports x tiles x threads
+ * x datapath). Any protocol violation (bad frame, seq mismatch, worker
+ * Error) is fatal: a serving stack must never continue on a diverged
+ * shard.
  *
  * laneMemory() exposes one lane behind the TileMemory surface, so a
  * plain ShardedDnc (or the golden harness) can drive a single lane of
@@ -34,19 +42,19 @@
  * (sharded_dnc.h) drives all lanes with the overlapped schedule behind
  * the LaneEngine surface the Router consumes.
  *
- * Wire v3 fault tolerance mirrors ShardCoordinator's: setRespawner()
- * plus a nonzero DncConfig::shardCheckpointIntervalSteps arm periodic
- * checkpoint pulls (taken at a gather that empties the in-flight
- * window) and a replay log of every frame since the last pull. Because
- * LaneStep frames are lane-addressed, the *same* bytes go to every
- * worker, so the log stores one buffer per entry, not per channel. On
- * a worker loss mid-gather the group respawns, Rejoins, Restores the
- * worker's lane-major checkpoint slice, replays the log, then resends
- * the up-to-kMaxInFlight outstanding batch frames oldest-first — the
- * double-buffered window drains deterministically and every later step
- * is bit-identical to an undisturbed run. migrateWorker()/rescale()
- * reuse the same frames to move tile slices between live workers or
- * re-deal them over a grown fleet with zero dropped lanes.
+ * Wire v3 fault tolerance: setRespawner() plus a nonzero
+ * DncConfig::shardCheckpointIntervalSteps arm periodic checkpoint
+ * pulls (once any lane has stepped that many times, taken at a gather
+ * that empties the in-flight window) and a replay log of every frame
+ * since the last pull. Frames are identical on every channel, so the
+ * log stores one buffer per entry, not per channel. On a worker loss
+ * the group respawns, Rejoins, Restores the worker's lane-major
+ * checkpoint slice, replays the log, then resends the in-flight frames
+ * oldest-first; all merge state (the per-lane gates) lives here, so
+ * every later step is bit-identical to an undisturbed run.
+ * migrateWorker()/rescale() reuse the same frames to move tile slices
+ * between live workers or re-deal them over a grown fleet with zero
+ * dropped lanes.
  */
 
 #ifndef HIMA_SHARD_PIPELINE_H
@@ -69,17 +77,20 @@ class ShardLaneGroup
     static constexpr Index kMaxInFlight = 2;
 
     /**
-     * Connect and handshake: every worker hosts `lanes` independent
-     * tile sets of its contiguous tile range (the same even deal as
-     * ShardCoordinator), validated before any step traffic.
+     * Connect and handshake. Tiles are dealt contiguously over the
+     * channels as evenly as possible (channel k hosts
+     * tiles/channels +- 1 tiles of every lane); every worker validates
+     * shapes, the datapath and its assignment before any step traffic.
      *
      * @param config   global DNC shapes (memoryRows = global N)
      * @param tiles    tile count Nt per lane; must divide memoryRows
      * @param lanes    serving lanes hosted by the fleet
      * @param policy   read-vector merge policy
      * @param channels one connected channel per worker (1..tiles)
-     * @param wantWeightings ship per-tile weightings back (golden
-     *        harness); serving paths leave it off
+     * @param wantWeightings ship per-tile read/write weightings back so
+     *        readouts carry the concatenated global view (DncD parity —
+     *        the golden harness needs it); serving paths leave it off
+     *        to keep replies at R*W + R reals per tile
      */
     ShardLaneGroup(const DncConfig &config, Index tiles, Index lanes,
                    MergePolicy policy,
@@ -110,8 +121,8 @@ class ShardLaneGroup
      * per channel, verifies the sequence/lane correlation, applies each
      * lane's confidence merge and writes lane j's merged readout into
      * *outs[j] (indexed like the scatter's lane list). Any protocol
-     * violation, worker error, channel close or recv-timeout expiry is
-     * fatal — a serving stack must never continue on a diverged shard.
+     * violation or worker error is fatal; a lost worker is recovered
+     * when recovery is armed and fatal otherwise.
      */
     void gather(const std::vector<MemoryReadout *> &outs);
 
@@ -120,15 +131,25 @@ class ShardLaneGroup
 
     // --- synchronous per-lane surface ----------------------------------
 
-    /** One lane's step as a single scatter+gather round trip. */
+    /** One lane's broadcast step as a single scatter+gather round trip. */
     void stepLaneInto(Index lane, const InterfaceVector &iface,
                       MemoryReadout &out);
 
     /**
-     * One lane behind the TileMemory surface (broadcast steps only; the
-     * per-tile write-sharding path stays on ShardCoordinator). The view
-     * borrows this group — it must not outlive it — and must not be
-     * stepped while batches are in flight.
+     * One lane's per-tile step (DNC-D learned write sharding): tile t
+     * steps with ifaces[t]. The merge contract (Fig. 8) is that
+     * *queries broadcast*: the interfaces may differ in write-side
+     * fields, but the read keys and strengths every tile scores with
+     * must be identical (workers and DncD score with ifaces[0]), so
+     * divergent read fields are a fatal caller bug.
+     */
+    void stepLaneInto(Index lane, const std::vector<InterfaceVector> &ifaces,
+                      MemoryReadout &out);
+
+    /**
+     * One lane behind the TileMemory surface. The view borrows this
+     * group — it must not outlive it — and must not be stepped while
+     * batches are in flight.
      */
     std::unique_ptr<TileMemory> laneMemory(Index lane);
 
@@ -176,15 +197,17 @@ class ShardLaneGroup
 
     /**
      * Pull a checkpoint of every worker's lane-major tile state right
-     * now. Requires an empty in-flight window.
+     * now (also empties the replay log). Requires an empty in-flight
+     * window; callable regardless of the configured cadence.
      */
     void checkpointNow();
 
     /**
      * Live migration: move worker k's tile slice (all lanes) onto
-     * `replacement` and shut the old worker down. Quiesces via a fresh
-     * checkpoint pull; requires an empty in-flight window. Works
-     * without a respawner.
+     * `replacement` (a connected, unconfigured worker) and shut the old
+     * worker down. Quiesces via a fresh checkpoint pull, so the move is
+     * bit-exact and needs no replay; requires an empty in-flight
+     * window. Works without a respawner.
      */
     void migrateWorker(Index k, std::unique_ptr<Channel> replacement);
 
@@ -205,26 +228,59 @@ class ShardLaneGroup
     // --- fleet telemetry scrape (wire v5) -------------------------------
 
     /**
-     * Pull every worker's telemetry registry (StatsPull/StatsReport)
-     * into `perWorker` (one snapshot per worker, channel order) and
-     * merge them — plus this process's registry and the group's wire
-     * counters ("shard.wire.*") — into `aggregate`. Requires an empty
-     * in-flight window, like every control-plane exchange here.
+     * Pull every worker's telemetry registry (StatsPull/StatsReport).
+     * `perWorker` is resized to one snapshot per worker in channel
+     * order; `aggregate` (cleared first) merges those reports with this
+     * process's own registry and every channel's wire traffic
+     * ("shard.wire.*" series). On a loopback fleet the workers share
+     * this process's registry, so process-wide series appear once per
+     * worker plus once for the coordinator — fleet totals stay
+     * meaningful for worker-local series (kernel.*, worker.*) only.
+     * Requires an empty in-flight window; never on the step path.
      */
     void scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
                        obs::Snapshot &aggregate);
 
   private:
+    /** Encode entryScratch_ as one LaneStep frame and send it. */
+    void scatterEntries();
+
+    /** One lane's step (broadcast or per-tile entry) as a round trip. */
+    void stepOneLane(Index lane, const InterfaceVector *iface,
+                     Index tileIfaces, MemoryReadout &out);
+
     void sendControl(ControlKind kind, std::uint32_t lane);
 
     /** Deal tiles contiguously/evenly over channels_. */
     void dealTiles();
+
+    /** Worker k's handshake config: shapes plus its tile assignment. */
+    WireConfig wireConfigFor(Index k) const;
+
+    /** Receive worker k's HelloAck and check it accepted its slice. */
+    void expectHelloAck(Index k, const char *who);
 
     bool recoveryArmed() const
     {
         return static_cast<bool>(respawner_) && !failHard_ &&
                globalConfig_.shardCheckpointIntervalSteps > 0;
     }
+
+    /**
+     * Send writer_'s frame to every channel, keeping a resend copy
+     * when recovery is armed (a recovery reuses writer_).
+     */
+    void broadcastFrame();
+
+    /**
+     * Receive worker k's answer to the broadcastFrame() in flight; on
+     * a loss, recover the worker and resend that frame. A second loss
+     * on the same exchange is fatal: recovery is not a retry loop.
+     */
+    void recvOrRecover(Index k, const char *what, std::uint64_t seq);
+
+    /** Fatal when the received frame is a worker Error. */
+    void failOnError(Index k, const char *what, std::uint64_t seq) const;
 
     /** Respawn + Rejoin + Restore + replay; fatal when not armed. */
     void recoverWorker(Index k, const char *what, std::uint64_t seq);
@@ -285,13 +341,11 @@ class ShardLaneGroup
     std::vector<std::uint8_t> frame_;
     const std::uint8_t *frameData_ = nullptr;
     std::size_t frameSize_ = 0;
-    std::vector<LaneStepEntry> entryScratch_;
+    std::vector<LaneStepEntry> entryScratch_; ///< the next scatter's lanes
     std::vector<LaneStepReplyMsg> replies_;        ///< per channel
     std::vector<const MemoryReadout *> localPtrs_; ///< per global tile
     std::vector<Real> scoreScratch_; ///< scoredHeads x tiles, row-major
-    std::vector<Index> laneScratch_; ///< stepLaneInto's one-lane batch
-    std::vector<const InterfaceVector *> ifaceScratch_;
-    std::vector<MemoryReadout *> outScratch_;
+    std::vector<MemoryReadout *> outScratch_; ///< stepLaneInto's one out
 
     // Fault tolerance: checkpoint store + replay log (wire v3). Frames
     // are identical on every channel, so log entries and the control
@@ -303,13 +357,56 @@ class ShardLaneGroup
     std::uint64_t checkpointsTaken_ = 0;
     std::uint64_t checkpointSeq_ = 0;
     std::uint64_t statsSeq_ = 0; ///< scrape round ids (StatsPull seq)
-    std::uint64_t laneStepsSinceCheckpoint_ = 0;
+    /** Per lane: steps gathered since the last checkpoint pull. */
+    std::vector<std::uint64_t> stepsSinceCheckpoint_;
+    bool checkpointDue_ = false; ///< some lane reached the interval
     bool checkpointValid_ = false; ///< checkpoints_ holds a real pull
     std::vector<MemoryTileState> checkpoints_; ///< lane-major, lanes x Nt
     std::vector<MemoryTileState *> snapshotPtrs_; ///< slice scratch
     std::vector<std::uint8_t> resendScratch_; ///< in-flight control/pull
     std::vector<std::vector<std::uint8_t>> log_; ///< ring, shared frames
     std::size_t logCount_ = 0;
+};
+
+/**
+ * One lane of a ShardLaneGroup behind the TileMemory surface. Broadcast
+ * and per-tile steps go through the group's stepLaneInto(); reset()
+ * and beginEpisode() map to the lane's EpisodeReset and Admit controls.
+ */
+class ShardLaneMemory : public TileMemory
+{
+  public:
+    ShardLaneMemory(ShardLaneGroup &group, Index lane)
+        : group_(group), lane_(lane)
+    {}
+
+    MemoryReadout stepInterface(const InterfaceVector &iface) override;
+    MemoryReadout
+    stepInterfaces(const std::vector<InterfaceVector> &ifaces) override;
+    void stepInterfaceInto(const InterfaceVector &iface,
+                           MemoryReadout &out) override
+    {
+        group_.stepLaneInto(lane_, iface, out);
+    }
+    void reset() override { group_.resetLane(lane_); }
+    void beginEpisode() override { group_.admitLane(lane_); }
+    Index tiles() const override { return group_.tiles(); }
+    const DncConfig &globalConfig() const override
+    {
+        return group_.globalConfig();
+    }
+    const DncConfig &shardConfig() const override
+    {
+        return group_.shardConfig();
+    }
+    const std::vector<std::vector<Real>> &lastAlphas() const override
+    {
+        return group_.laneAlphas(lane_);
+    }
+
+  private:
+    ShardLaneGroup &group_;
+    Index lane_;
 };
 
 } // namespace hima

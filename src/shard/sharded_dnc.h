@@ -1,8 +1,9 @@
 /**
  * @file
  * ShardedDnc: a full DNC whose controller runs locally and whose
- * external memory is a TileMemory — the in-process DncD or the
- * wire-connected ShardCoordinator. This is the Fig. 8 deployment shape:
+ * external memory is a TileMemory — the in-process DncD, the
+ * wire-connected ShardCoordinator, or one lane of a shared
+ * ShardLaneGroup. This is the Fig. 8 deployment shape:
  * the LSTM and projection heads live with the request front-end, the
  * memory tiles live wherever capacity is (threads, processes, hosts),
  * and only interface vectors and merged read vectors cross the
@@ -11,16 +12,17 @@
  * ShardedLaneEngine lifts capacity-many ShardedDnc instances behind the
  * LaneEngine surface, so the dynamic-batching Router (src/serve/) can
  * route an arrival process onto a sharded fleet unchanged. Each lane
- * owns its backend (its own tile set on the workers); admit() maps to
- * the wire's Admit control, which episode-resets the lane's remote
- * tiles in place.
+ * owns its backend (any TileMemory — over the wire, a ShardCoordinator,
+ * i.e. a one-lane ShardLaneGroup stepped with a window of one); admit()
+ * maps to the wire's Admit control, which episode-resets the lane's
+ * remote tiles in place.
  *
- * PipelinedShardedLaneEngine is the overlapped variant: every lane
- * lives on one shared ShardLaneGroup fleet (shard/pipeline.h), steps
- * travel as lane-batched frames (DncConfig::shardLanesPerBatch lanes
- * per worker round trip), and the engine runs a double-buffered step
- * window — batch B's controllers compute while batch A's tile round
- * trip is in flight. Lanes are independent, so each lane's
+ * PipelinedShardedLaneEngine is the overlapped variant on the same
+ * coordinator code: every lane lives on one shared ShardLaneGroup
+ * fleet (shard/pipeline.h), steps travel as lane-batched frames
+ * (DncConfig::shardLanesPerBatch lanes per worker round trip), and the
+ * engine runs a double-buffered step window — batch B's controllers
+ * compute while batch A's tile round trip is in flight. Lanes are independent, so each lane's
  * controller -> tiles -> merge -> output chain is untouched and the
  * engine stays bit-identical per lane to dedicated ShardedDnc runs
  * (proven in tests/test_shard.cpp). The Router drives it through the

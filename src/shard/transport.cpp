@@ -675,7 +675,8 @@ cpuRelax()
 } // namespace
 
 std::size_t
-shmSlotBytesFor(const DncConfig &shard, Index hostedTiles, Index lanes)
+shmSlotBytesFor(const DncConfig &shard, Index tiles, Index hostedTiles,
+                Index lanes)
 {
     const auto n = static_cast<std::size_t>(shard.memoryRows);
     const auto w = static_cast<std::size_t>(shard.memoryWidth);
@@ -694,9 +695,10 @@ shmSlotBytesFor(const DncConfig &shard, Index hostedTiles, Index lanes)
     const std::size_t snapshot =
         states * (8 * (n * w + n * n + (4 + r) * n) + 4 * n + 16);
     // Scatter: one interface vector (+ per-entry framing) per lane, or
-    // the span broadcast over hosted tiles.
+    // a per-tile step's Nt interfaces.
     const std::size_t iface = 8 * (r * w + 3 * w + 8 * r + 16) + 64;
-    const std::size_t scatter = std::max(laneCount, hosted) * iface;
+    const std::size_t scatter =
+        std::max<std::size_t>(laneCount, tiles) * iface;
     // Replies with weightings: reads R*W, weightings (1+R)*N, scores.
     const std::size_t reply = 8 * states * (r * w + (1 + r) * n + r + 8);
     // StatsReport scrapes are name+counter rows plus sparse histogram

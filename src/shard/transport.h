@@ -188,7 +188,7 @@ class FrameSink
  * One outbound frame, encoded in place when the sink supports it:
  *
  *     FrameScope frame(sink, writer_);
- *     encodeStepReply(..., frame.writer());
+ *     encodeLaneStepReply(..., frame.writer());
  *     frame.commit();
  *
  * On a zero-copy sink (ShmChannel) writer() targets the transport's own
@@ -417,12 +417,13 @@ constexpr std::size_t kShmDefaultSlots = 8;
  * Slot capacity (bytes) that fits every frame the protocol can produce
  * for this shard shape: the checkpoint/restore snapshot of all hosted
  * (lane, tile) memory state is the largest, followed by lane-batched
- * replies with weightings and the scatter broadcast. Rounded up to a
- * page and capped at kWireMaxFrameBytes (a frame too big for a slot is
- * too big for the socket transports as well).
+ * replies with weightings and the scatter (up to `lanes` broadcast
+ * interfaces, or all `tiles` interfaces of a per-tile step). Rounded
+ * up to a page and capped at kWireMaxFrameBytes (a frame too big for a
+ * slot is too big for the socket transports as well).
  */
-std::size_t shmSlotBytesFor(const DncConfig &shard, Index hostedTiles,
-                            Index lanes = 1);
+std::size_t shmSlotBytesFor(const DncConfig &shard, Index tiles,
+                            Index hostedTiles, Index lanes = 1);
 
 /**
  * Same-host zero-copy channel: a pair of single-producer /

@@ -20,10 +20,6 @@ msgTypeName(MsgType type)
         return "Hello";
     case MsgType::HelloAck:
         return "HelloAck";
-    case MsgType::Step:
-        return "Step";
-    case MsgType::StepReply:
-        return "StepReply";
     case MsgType::Control:
         return "Control";
     case MsgType::ControlAck:
@@ -70,6 +66,7 @@ WireConfig::fromShard(const DncConfig &shard, Index hostedTiles, Index lanes)
     wc.linkageSkipThreshold = shard.linkageSkipThreshold;
     wc.readSkipThreshold = shard.readSkipThreshold;
     wc.denseSweep = shard.linkageDenseSweep ? 1 : 0;
+    wc.tiles = hostedTiles;
     return wc;
 }
 
@@ -404,7 +401,7 @@ readInterface(WireReader &in, const DncConfig &shard, InterfaceVector &iface)
     }
 }
 
-/** Hello/Rejoin shared handshake body. */
+/** Hello/Rejoin shared handshake body (shapes, datapath, assignment). */
 void
 putConfigBody(const WireConfig &config, WireWriter &out)
 {
@@ -422,6 +419,8 @@ putConfigBody(const WireConfig &config, WireWriter &out)
     out.putReal(config.linkageSkipThreshold);
     out.putReal(config.readSkipThreshold);
     out.putU8(config.denseSweep);
+    out.putU64(config.tiles);
+    out.putU64(config.firstTile);
 }
 
 void
@@ -441,6 +440,8 @@ readConfigBody(WireReader &in, WireConfig &config)
     config.linkageSkipThreshold = in.real();
     config.readSkipThreshold = in.real();
     config.denseSweep = in.u8();
+    config.tiles = in.u64();
+    config.firstTile = in.u64();
 }
 
 /** True when any of the row's `count` entries is nonzero. This — not
@@ -738,71 +739,6 @@ encodeHelloAck(const HelloAckMsg &msg, WireWriter &out)
 }
 
 void
-encodeStepSpan(std::uint64_t seq, bool wantWeightings,
-               std::uint32_t scoredMask, const InterfaceVector *ifaces,
-               Index count, WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::Step);
-    out.putU64(seq);
-    out.putU8(wantWeightings ? 1 : 0);
-    out.putU32(scoredMask);
-    out.putU8(0); // per-tile interfaces follow
-    out.putU32(static_cast<std::uint32_t>(count));
-    for (Index t = 0; t < count; ++t)
-        putInterface(ifaces[t], out);
-}
-
-void
-encodeStepBroadcast(std::uint64_t seq, bool wantWeightings,
-                    std::uint32_t scoredMask, const InterfaceVector &iface,
-                    Index count, WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::Step);
-    out.putU64(seq);
-    out.putU8(wantWeightings ? 1 : 0);
-    out.putU32(scoredMask);
-    out.putU8(1); // broadcast: one interface on the wire, count logical
-    out.putU32(static_cast<std::uint32_t>(count));
-    putInterface(iface, out);
-}
-
-void
-encodeStep(const StepMsg &msg, const DncConfig &shard, WireWriter &out)
-{
-    (void)shard; // shapes are implied by the handshake config
-    encodeStepSpan(msg.seq, msg.wantWeightings, msg.scoredMask,
-                   msg.ifaces.data(), msg.ifaces.size(), out);
-}
-
-void
-encodeStepReply(std::uint64_t seq, bool withWeightings,
-                const MemoryReadout *tiles, Index count,
-                const std::vector<Real> &confidence, const DncConfig &shard,
-                WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::StepReply);
-    out.putU64(seq);
-    out.putU8(withWeightings ? 1 : 0);
-    out.putU32(static_cast<std::uint32_t>(count));
-    const Index r = shard.readHeads;
-    for (Index t = 0; t < count; ++t) {
-        const MemoryReadout &readout = tiles[t];
-        for (Index h = 0; h < r; ++h)
-            out.putVector(readout.readVectors[h]);
-        for (Index h = 0; h < r; ++h)
-            out.putReal(confidence[t * r + h]);
-        if (withWeightings) {
-            for (Index h = 0; h < r; ++h)
-                out.putVector(readout.readWeightings[h]);
-            out.putVector(readout.writeWeighting);
-        }
-    }
-}
-
-void
 encodeLaneStep(std::uint64_t seq, bool wantWeightings,
                const LaneStepEntry *entries, Index count, WireWriter &out)
 {
@@ -812,9 +748,17 @@ encodeLaneStep(std::uint64_t seq, bool wantWeightings,
     out.putU8(wantWeightings ? 1 : 0);
     out.putU32(static_cast<std::uint32_t>(count));
     for (Index j = 0; j < count; ++j) {
-        out.putU32(entries[j].lane);
-        out.putU32(entries[j].scoredMask);
-        putInterface(*entries[j].iface, out);
+        const LaneStepEntry &entry = entries[j];
+        out.putU32(entry.lane);
+        out.putU32(entry.scoredMask);
+        out.putU8(entry.tileIfaces != 0 ? 1 : 0);
+        if (entry.tileIfaces == 0) {
+            putInterface(*entry.iface, out);
+            continue;
+        }
+        out.putU32(static_cast<std::uint32_t>(entry.tileIfaces));
+        for (Index t = 0; t < entry.tileIfaces; ++t)
+            putInterface(entry.iface[t], out);
     }
 }
 
@@ -918,13 +862,11 @@ encodeRestore(std::uint64_t seq, const MemoryTileState *const *snapshots,
 }
 
 void
-encodeRejoin(const WireConfig &config, std::uint64_t firstTile,
-             WireWriter &out)
+encodeRejoin(const WireConfig &config, WireWriter &out)
 {
     out.clear();
     out.header(MsgType::Rejoin);
     putConfigBody(config, out);
-    out.putU64(firstTile);
 }
 
 void
@@ -1005,71 +947,9 @@ decodeHelloAck(const std::uint8_t *data, std::size_t size, HelloAckMsg &msg)
 }
 
 bool
-decodeStep(const std::uint8_t *data, std::size_t size, const DncConfig &shard,
-           Index hostedTiles, StepMsg &msg)
-{
-    WireReader in(data, size);
-    in.header(MsgType::Step);
-    msg.seq = in.u64();
-    msg.wantWeightings = in.u8() != 0;
-    msg.scoredMask = in.u32();
-    const std::uint8_t broadcast = in.u8();
-    const std::uint32_t count = in.u32();
-    if (!in.ok() || broadcast > 1 || count != hostedTiles)
-        return false;
-    msg.ifaces.resize(hostedTiles);
-    if (broadcast) {
-        // One interface on the wire; expand to every hosted tile
-        // (same-shape copy assignments — no steady-state allocation).
-        readInterface(in, shard, msg.ifaces[0]);
-        for (Index t = 1; t < hostedTiles; ++t)
-            msg.ifaces[t] = msg.ifaces[0];
-    } else {
-        for (Index t = 0; t < hostedTiles; ++t)
-            readInterface(in, shard, msg.ifaces[t]);
-    }
-    return in.atEnd();
-}
-
-bool
-decodeStepReply(const std::uint8_t *data, std::size_t size,
-                const DncConfig &shard, Index hostedTiles, StepReplyMsg &msg)
-{
-    WireReader in(data, size);
-    in.header(MsgType::StepReply);
-    msg.seq = in.u64();
-    msg.hasWeightings = in.u8() != 0;
-    const std::uint32_t count = in.u32();
-    if (!in.ok() || count != hostedTiles)
-        return false;
-    const Index r = shard.readHeads;
-    const Index w = shard.memoryWidth;
-    const Index n = shard.memoryRows;
-    msg.tiles.resize(hostedTiles);
-    msg.confidence.resize(hostedTiles * r);
-    for (Index t = 0; t < hostedTiles; ++t) {
-        MemoryReadout &readout = msg.tiles[t];
-        readout.readVectors.resize(r);
-        for (Index h = 0; h < r; ++h)
-            in.vector(readout.readVectors[h], w);
-        for (Index h = 0; h < r; ++h)
-            msg.confidence[t * r + h] = in.real();
-        if (msg.hasWeightings) {
-            readout.readWeightings.resize(r);
-            for (Index h = 0; h < r; ++h)
-                in.vector(readout.readWeightings[h], n);
-            in.vector(readout.writeWeighting, n);
-        } else {
-            readout.readWeightings.clear();
-            readout.writeWeighting.resize(0);
-        }
-    }
-    return in.atEnd();
-}
-
-bool
 decodeLaneStep(const std::uint8_t *data, std::size_t size,
-               const DncConfig &shard, Index lanes, LaneStepMsg &msg)
+               const DncConfig &shard, Index lanes, Index tiles,
+               LaneStepMsg &msg)
 {
     WireReader in(data, size);
     in.header(MsgType::LaneStep);
@@ -1080,17 +960,33 @@ decodeLaneStep(const std::uint8_t *data, std::size_t size,
         return false;
     msg.lanes.resize(count);
     msg.masks.resize(count);
-    msg.ifaces.resize(count);
+    msg.perTile.resize(count);
+    msg.firstIface.resize(count);
+    Index used = 0;
     for (Index j = 0; j < count; ++j) {
         msg.lanes[j] = in.u32();
         msg.masks[j] = in.u32();
+        msg.perTile[j] = in.u8();
         // Strictly increasing lane ids < lanes: no duplicates (a frame
         // stepping one lane twice would race on its tiles), no
         // out-of-range tile-set access.
         if (!in.ok() || msg.lanes[j] >= lanes ||
-            (j > 0 && msg.lanes[j] <= msg.lanes[j - 1]))
+            (j > 0 && msg.lanes[j] <= msg.lanes[j - 1]) ||
+            msg.perTile[j] > 1)
             return false;
-        readInterface(in, shard, msg.ifaces[j]);
+        // A per-tile entry must cover exactly the handshake's Nt tiles,
+        // checked before any resize.
+        const Index n = msg.perTile[j] ? in.u32() : 1;
+        if (!in.ok() || (msg.perTile[j] && n != tiles))
+            return false;
+        msg.firstIface[j] = used;
+        used += n;
+        // Grow only: shrinking would free interface buffers that the
+        // next frame then reallocates.
+        if (msg.ifaces.size() < used)
+            msg.ifaces.resize(used);
+        for (Index i = msg.firstIface[j]; i < used; ++i)
+            readInterface(in, shard, msg.ifaces[i]);
     }
     return in.atEnd();
 }
@@ -1201,13 +1097,11 @@ decodeRestore(const std::uint8_t *data, std::size_t size,
 }
 
 bool
-decodeRejoin(const std::uint8_t *data, std::size_t size, WireConfig &config,
-             std::uint64_t &firstTile)
+decodeRejoin(const std::uint8_t *data, std::size_t size, WireConfig &config)
 {
     WireReader in(data, size);
     in.header(MsgType::Rejoin);
     readConfigBody(in, config);
-    firstTile = in.u64();
     return in.atEnd();
 }
 

@@ -75,6 +75,17 @@
  * encoding byte must be known, and truncation anywhere returns false.
  * The handshake grows the read-stage knobs (readSkipThreshold,
  * denseSweep) so coordinator and worker agree on the sparse datapath.
+ *
+ * Version 7 retires the single-lane Step/StepReply pair: LaneStep is
+ * the only step frame, and a one-lane LaneStep is the synchronous
+ * coordinator's step. Each LaneStep entry now carries a per-tile flag
+ * byte: 0 means one broadcast interface (the serving path), 1 means a
+ * [u32 Nt] count and all Nt per-tile interfaces of DNC-D's learned
+ * write sharding, so every worker still receives identical bytes and
+ * steps its own slice. For that the handshake (Hello and Rejoin alike)
+ * carries the tile assignment: the global tile count Nt and the
+ * worker's first global tile. The remaining message types are
+ * renumbered densely.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -94,9 +105,10 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v6: sparse
- * checkpoint/restore tile bodies + the read-stage handshake knobs). */
-constexpr std::uint8_t kWireVersion = 6;
+/** Protocol version; bumped on any layout change (v7: Step/StepReply
+ * retired into per-tile LaneStep entries; tile assignment in the
+ * handshake). */
+constexpr std::uint8_t kWireVersion = 7;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
@@ -106,20 +118,18 @@ enum class MsgType : std::uint8_t
 {
     Hello = 1,      ///< coordinator -> worker: config handshake
     HelloAck = 2,   ///< worker -> coordinator: accept/reject + detail
-    Step = 3,       ///< coordinator -> worker: per-tile interface vectors
-    StepReply = 4,  ///< worker -> coordinator: reads + confidence logits
-    Control = 5,    ///< coordinator -> worker: episode reset / admit
-    ControlAck = 6, ///< worker -> coordinator: control completed
-    Shutdown = 7,   ///< coordinator -> worker: stop serving
-    Error = 8,      ///< worker -> coordinator: protocol failure detail
-    LaneStep = 9,   ///< coordinator -> worker: k lanes' broadcast ifaces
-    LaneStepReply = 10, ///< worker -> coordinator: k lanes' readouts
-    CheckpointRequest = 11, ///< coordinator -> worker: pull all tile state
-    CheckpointState = 12,   ///< worker -> coordinator: lane-major snapshots
-    Restore = 13,           ///< coordinator -> worker: push tile snapshots
-    Rejoin = 14, ///< coordinator -> replacement worker: re-attach handshake
-    StatsPull = 15,   ///< coordinator -> worker: scrape the telemetry registry
-    StatsReport = 16, ///< worker -> coordinator: obs::Snapshot of the process
+    Control = 3,    ///< coordinator -> worker: episode reset / admit
+    ControlAck = 4, ///< worker -> coordinator: control completed
+    Shutdown = 5,   ///< coordinator -> worker: stop serving
+    Error = 6,      ///< worker -> coordinator: protocol failure detail
+    LaneStep = 7,   ///< coordinator -> worker: k lanes' interfaces
+    LaneStepReply = 8, ///< worker -> coordinator: k lanes' readouts
+    CheckpointRequest = 9, ///< coordinator -> worker: pull all tile state
+    CheckpointState = 10,  ///< worker -> coordinator: lane-major snapshots
+    Restore = 11,          ///< coordinator -> worker: push tile snapshots
+    Rejoin = 12, ///< coordinator -> replacement worker: re-attach handshake
+    StatsPull = 13,   ///< coordinator -> worker: scrape the telemetry registry
+    StatsReport = 14, ///< worker -> coordinator: obs::Snapshot of the process
 };
 
 /** Number of distinct message-type slots (for per-type counters). */
@@ -162,8 +172,15 @@ struct WireConfig
     Real linkageSkipThreshold = 0.0;
     Real readSkipThreshold = 0.0;
     std::uint8_t denseSweep = 0; ///< forces dense sweeps + dense frames
+    std::uint64_t tiles = 0;     ///< global tile count Nt per lane
+    std::uint64_t firstTile = 0; ///< first global tile this worker hosts
 
-    /** Build from a per-shard DncConfig plus the hosted-tile count. */
+    /**
+     * Build from a per-shard DncConfig plus the hosted-tile count. The
+     * assignment defaults to the whole fleet (firstTile 0, tiles =
+     * hostedTiles); a coordinator dealing tiles over several workers
+     * overwrites both.
+     */
     static WireConfig fromShard(const DncConfig &shard, Index hostedTiles,
                                 Index lanes = 1);
 
@@ -181,28 +198,6 @@ struct HelloAckMsg
     std::string message;           ///< failure detail when !ok
 };
 
-/** One scatter: interface vectors for every hosted tile. */
-struct StepMsg
-{
-    std::uint64_t seq = 0;
-    bool wantWeightings = false; ///< ship read/write weightings back too
-    std::uint32_t scoredMask = 0; ///< heads needing confidence logits
-    std::vector<InterfaceVector> ifaces; ///< one per hosted tile
-};
-
-/**
- * One gather: per hosted tile, the local MemoryReadout (read vectors
- * always; weightings only when requested) and R confidence logits
- * (zero for heads outside the request's scoredMask).
- */
-struct StepReplyMsg
-{
-    std::uint64_t seq = 0;
-    bool hasWeightings = false;
-    std::vector<MemoryReadout> tiles;
-    std::vector<Real> confidence; ///< hostedTiles x R, row-major
-};
-
 /** Episode control. */
 struct ControlMsg
 {
@@ -213,24 +208,28 @@ struct ControlMsg
 
 /**
  * One lane's slice of a lane-batched scatter: the lane id, the heads
- * needing fresh confidence logits, and the broadcast interface every
- * hosted tile of that lane steps with. Lane batching is broadcast-only
- * (the serving path's query pattern); learned per-tile write sharding
- * stays on the single-lane Step frame.
+ * needing fresh confidence logits, and the interfaces the lane's tiles
+ * step with. A broadcast entry (tileIfaces == 0, the serving path)
+ * carries one interface for every tile. A per-tile entry carries all
+ * Nt interfaces of DNC-D's learned write sharding (tileIfaces == Nt,
+ * iface[t] for global tile t); every worker gets them all and steps
+ * its own slice, so the frame stays identical on every channel. Both
+ * kinds score confidence with iface[0]'s read keys, as DncD does.
  */
 struct LaneStepEntry
 {
     std::uint32_t lane = 0;
     std::uint32_t scoredMask = 0;
     const InterfaceVector *iface = nullptr;
+    Index tileIfaces = 0; ///< 0 = broadcast; else Nt per-tile interfaces
 };
 
 /**
  * Decoded lane-batched scatter: `laneCount` parallel arrays. Buffers
- * resize in place, so a steady-state worker decode allocates nothing.
- * Lane ids are validated strictly increasing (and < the handshake's
- * lane count), which rules out duplicates — a frame stepping the same
- * lane twice would race on that lane's tiles.
+ * resize in place (ifaces only ever grows), so a steady-state worker
+ * decode allocates nothing. Lane ids are validated strictly increasing
+ * (and < the handshake's lane count), which rules out duplicates — a
+ * frame stepping the same lane twice would race on that lane's tiles.
  */
 struct LaneStepMsg
 {
@@ -238,7 +237,16 @@ struct LaneStepMsg
     bool wantWeightings = false;
     std::vector<std::uint32_t> lanes;
     std::vector<std::uint32_t> masks;
-    std::vector<InterfaceVector> ifaces; ///< one broadcast iface per lane
+    std::vector<std::uint8_t> perTile; ///< entry carries Nt interfaces
+    std::vector<Index> firstIface;     ///< entry j's first ifaces slot
+    std::vector<InterfaceVector> ifaces; ///< entries' interfaces, packed
+
+    /** The interface global tile `tile` of entry j steps with. */
+    const InterfaceVector &
+    tileIface(Index j, Index tile) const
+    {
+        return ifaces[firstIface[j] + (perTile[j] ? tile : 0)];
+    }
 };
 
 /**
@@ -388,39 +396,11 @@ bool peekType(const std::uint8_t *data, std::size_t size, MsgType &type);
 
 void encodeHello(const WireConfig &config, WireWriter &out);
 void encodeHelloAck(const HelloAckMsg &msg, WireWriter &out);
-void encodeStep(const StepMsg &msg, const DncConfig &shard, WireWriter &out);
-
-/** Encode a Step from a contiguous span of per-tile interfaces. */
-void encodeStepSpan(std::uint64_t seq, bool wantWeightings,
-                    std::uint32_t scoredMask, const InterfaceVector *ifaces,
-                    Index count, WireWriter &out);
-
 /**
- * Encode a Step whose one interface broadcasts to `count` tiles: the
- * interface goes over the wire once (a broadcast flag in the frame) and
- * the worker expands it locally, so the serving scatter costs one
- * interface payload per worker instead of one per tile.
- */
-void encodeStepBroadcast(std::uint64_t seq, bool wantWeightings,
-                         std::uint32_t scoredMask,
-                         const InterfaceVector &iface, Index count,
-                         WireWriter &out);
-
-/**
- * Encode a StepReply straight from the first `count` entries of the
- * worker's per-tile readout scratch and its confidence scratch
- * (count x R, row-major) — no intermediate message object, no copies.
- * (The scratch may be larger than `count` on multi-lane workers, whose
- * legacy Step frames cover lane 0 only.)
- */
-void encodeStepReply(std::uint64_t seq, bool withWeightings,
-                     const MemoryReadout *tiles, Index count,
-                     const std::vector<Real> &confidence,
-                     const DncConfig &shard, WireWriter &out);
-/**
- * Encode a lane-batched Step: one frame carries `count` lanes'
- * broadcast interfaces (ordered by strictly increasing lane id). Each
- * hosted tile of entry j's lane steps with *entries[j].iface.
+ * Encode a lane-batched step: one frame carries `count` lane entries
+ * (ordered by strictly increasing lane id). Entry layout: [u32 lane]
+ * [u32 scoredMask] [u8 perTile], then one interface (perTile 0) or
+ * [u32 Nt] and Nt interfaces (perTile 1).
  */
 void encodeLaneStep(std::uint64_t seq, bool wantWeightings,
                     const LaneStepEntry *entries, Index count,
@@ -494,12 +474,11 @@ void encodeStatsReport(std::uint64_t seq, const obs::Snapshot &snapshot,
                        WireWriter &out);
 
 /**
- * Re-attach handshake for a replacement worker: the Hello body plus the
- * first global tile index of its assignment (so operators can identify
- * the slice a worker serves). Answered by HelloAck like Hello.
+ * Re-attach handshake for a replacement worker: the Hello body under
+ * its own type, so the wire shows which workers are replacements.
+ * Answered by HelloAck like Hello.
  */
-void encodeRejoin(const WireConfig &config, std::uint64_t firstTile,
-                  WireWriter &out);
+void encodeRejoin(const WireConfig &config, WireWriter &out);
 
 // --- decoders (false on any malformed input; outputs resize in place) ---
 
@@ -507,18 +486,16 @@ bool decodeHello(const std::uint8_t *data, std::size_t size,
                  WireConfig &config);
 bool decodeHelloAck(const std::uint8_t *data, std::size_t size,
                     HelloAckMsg &msg);
-bool decodeStep(const std::uint8_t *data, std::size_t size,
-                const DncConfig &shard, Index hostedTiles, StepMsg &msg);
-bool decodeStepReply(const std::uint8_t *data, std::size_t size,
-                     const DncConfig &shard, Index hostedTiles,
-                     StepReplyMsg &msg);
 /**
- * Decode a lane-batched Step. `lanes` is the worker's hosted lane
- * count from the handshake: frames naming more lanes than that, lane
- * ids out of range, or lane ids not strictly increasing are rejected.
+ * Decode a lane-batched step. `lanes` and `tiles` are the worker's
+ * hosted lane count and the global tile count Nt from the handshake:
+ * frames naming more lanes than that, lane ids out of range or not
+ * strictly increasing, a per-tile flag above 1, or a per-tile count
+ * other than Nt are rejected.
  */
 bool decodeLaneStep(const std::uint8_t *data, std::size_t size,
-                    const DncConfig &shard, Index lanes, LaneStepMsg &msg);
+                    const DncConfig &shard, Index lanes, Index tiles,
+                    LaneStepMsg &msg);
 
 /**
  * Decode a lane-batched reply. `maxLanes` bounds the declared lane
@@ -557,7 +534,7 @@ bool decodeRestore(const std::uint8_t *data, std::size_t size,
                    std::uint64_t &seq);
 
 bool decodeRejoin(const std::uint8_t *data, std::size_t size,
-                  WireConfig &config, std::uint64_t &firstTile);
+                  WireConfig &config);
 
 bool decodeStatsPull(const std::uint8_t *data, std::size_t size,
                      std::uint64_t &seq);

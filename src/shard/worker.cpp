@@ -16,19 +16,12 @@ ShardWorker::handleFrame(const std::uint8_t *data, std::size_t size,
     // Scripted fault: a dead worker never replies again, and serve()
     // exits so its socket closes — the coordinator observes exactly
     // what a crashed process would produce (silence, then EOF).
-    const bool isStepFrame =
-        type == MsgType::Step || type == MsgType::LaneStep;
-    if (fault_.dead() || fault_.onFrame(isStepFrame))
+    if (fault_.dead() || fault_.onFrame(type == MsgType::LaneStep))
         return false;
     switch (type) {
     case MsgType::Hello:
-        handleHello(data, size, sink);
-        return true;
     case MsgType::Rejoin:
-        handleRejoin(data, size, sink);
-        return true;
-    case MsgType::Step:
-        handleStep(data, size, sink);
+        handleHello(type, data, size, sink);
         return true;
     case MsgType::LaneStep:
         handleLaneStep(data, size, sink);
@@ -90,39 +83,22 @@ ShardWorker::sendError(const std::string &message, FrameSink &sink)
 }
 
 void
-ShardWorker::handleHello(const std::uint8_t *data, std::size_t size,
-                         FrameSink &sink)
+ShardWorker::handleHello(MsgType type, const std::uint8_t *data,
+                         std::size_t size, FrameSink &sink)
 {
+    // Rejoin carries the Hello body: a replacement worker starts from
+    // zeroed tiles (the t=0 state) and the coordinator follows up with
+    // Restore + replay as needed.
     WireConfig wire;
     HelloAckMsg ack;
-    if (!decodeHello(data, size, wire)) {
+    const bool decoded = type == MsgType::Hello
+                             ? decodeHello(data, size, wire)
+                             : decodeRejoin(data, size, wire);
+    if (!decoded) {
         ack.ok = false;
-        ack.message = "malformed Hello";
-    } else {
-        firstGlobalTile_ = 0;
-        applyConfig(wire, ack);
-    }
-    encodeHelloAck(ack, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
-}
-
-void
-ShardWorker::handleRejoin(const std::uint8_t *data, std::size_t size,
-                          FrameSink &sink)
-{
-    // Identical to Hello except for the tile-assignment record: the
-    // replacement worker starts from zeroed tiles (the t=0 state) and
-    // the coordinator follows up with Restore + replay as needed.
-    WireConfig wire;
-    std::uint64_t firstTile = 0;
-    HelloAckMsg ack;
-    if (!decodeRejoin(data, size, wire, firstTile)) {
-        ack.ok = false;
-        ack.message = "malformed Rejoin";
+        ack.message = std::string("malformed ") + msgTypeName(type);
     } else {
         applyConfig(wire, ack);
-        if (ack.ok)
-            firstGlobalTile_ = firstTile;
     }
     encodeHelloAck(ack, writer_);
     sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
@@ -151,6 +127,10 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
                // rows^2 doubles), same fail-closed sizing discipline.
                wire.lanes == 0 || wire.lanes > 4096 ||
                wire.lanes * wire.hostedTiles > (1u << 16) ||
+               // The assignment must lie inside the Nt tiles a per-tile
+               // LaneStep entry carries (Nt capped like the lanes).
+               wire.tiles > 4096 || wire.firstTile > wire.tiles ||
+               wire.hostedTiles > wire.tiles - wire.firstTile ||
                (wire.approximateSoftmax != 0 &&
                 (wire.softmaxSegments < 2 ||
                  wire.softmaxSegments > (1u << 16))) ||
@@ -176,6 +156,8 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
         shardConfig_ = wire.toShardConfig();
         hostedTiles_ = static_cast<Index>(wire.hostedTiles);
         lanes_ = static_cast<Index>(wire.lanes);
+        globalTiles_ = static_cast<Index>(wire.tiles);
+        firstGlobalTile_ = wire.firstTile;
         tiles_.clear();
         for (Index t = 0; t < lanes_ * hostedTiles_; ++t)
             tiles_.push_back(std::make_unique<MemoryUnit>(shardConfig_));
@@ -185,7 +167,6 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
         pool_.reset();
         if (shardConfig_.numThreads > 1 && tiles_.size() > 1)
             pool_ = std::make_unique<ThreadPool>(shardConfig_.numThreads);
-        stepTask_ = nullptr;
         laneStepTask_ = nullptr;
         stepsServed_ = 0;
         episodesServed_ = 0;
@@ -255,50 +236,6 @@ ShardWorker::forEach(Index count, const std::function<void(Index)> &fn)
 }
 
 void
-ShardWorker::handleStep(const std::uint8_t *data, std::size_t size,
-                        FrameSink &sink)
-{
-    if (!configured()) {
-        sendError("Step before Hello", sink);
-        return;
-    }
-    if (!decodeStep(data, size, shardConfig_, hostedTiles_, step_)) {
-        sendError("malformed Step", sink);
-        return;
-    }
-
-    // The full local pipeline per tile (lane 0's tile set), plus the
-    // confidence logits the coordinator flagged. Keys broadcast, so the
-    // first hosted tile's interface carries the scoring keys (same
-    // convention as DncD).
-    if (!stepTask_) {
-        stepTask_ = [this](Index t) {
-            tiles_[t]->stepInto(step_.ifaces[t], readouts_[t]);
-            const Index heads = shardConfig_.readHeads;
-            for (Index h = 0; h < heads; ++h) {
-                confidence_[t * heads + h] =
-                    (step_.scoredMask >> h & 1u)
-                        ? tileConfidenceScore(*tiles_[t],
-                                              step_.ifaces[0].readKeys[h],
-                                              step_.ifaces[0].readStrengths[h])
-                        : 0.0;
-            }
-        };
-    }
-    forEach(hostedTiles_, stepTask_);
-    ++stepsServed_;
-
-    // Only lane 0's hostedTiles_ scratch slots were stepped; the
-    // scratch itself is sized for full lane-batched frames. The scope
-    // writes the readouts in place on zero-copy transports.
-    FrameScope reply(sink, writer_);
-    encodeStepReply(step_.seq, step_.wantWeightings, readouts_.data(),
-                    hostedTiles_, confidence_, shardConfig_,
-                    reply.writer());
-    reply.commit();
-}
-
-void
 ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
                             FrameSink &sink)
 {
@@ -306,7 +243,8 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
         sendError("LaneStep before Hello", sink);
         return;
     }
-    if (!decodeLaneStep(data, size, shardConfig_, lanes_, laneStep_)) {
+    if (!decodeLaneStep(data, size, shardConfig_, lanes_, globalTiles_,
+                        laneStep_)) {
         sendError("malformed LaneStep", sink);
         return;
     }
@@ -314,23 +252,25 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
     // All named lanes' hosted tiles in one dispatch: frame slot
     // j * hostedTiles + i maps to tile i of lane lanes[j]. Lanes are
     // independent tile sets, so any pool schedule is bit-identical to
-    // sequential execution.
+    // sequential execution. Keys broadcast, so global tile 0's
+    // interface carries the scoring keys (same convention as DncD).
     const Index frameLanes = laneStep_.lanes.size();
     const Index slots = frameLanes * hostedTiles_; // <= readouts_.size()
     if (!laneStepTask_) {
         laneStepTask_ = [this](Index slot) {
             const Index j = slot / hostedTiles_;
-            const Index lane = laneStep_.lanes[j];
+            const Index i = slot % hostedTiles_;
             MemoryUnit &tile =
-                *tiles_[lane * hostedTiles_ + slot % hostedTiles_];
-            const InterfaceVector &iface = laneStep_.ifaces[j];
-            tile.stepInto(iface, readouts_[slot]);
+                *tiles_[laneStep_.lanes[j] * hostedTiles_ + i];
+            tile.stepInto(laneStep_.tileIface(j, firstGlobalTile_ + i),
+                          readouts_[slot]);
+            const InterfaceVector &scoring = laneStep_.tileIface(j, 0);
             const Index heads = shardConfig_.readHeads;
             for (Index h = 0; h < heads; ++h) {
                 confidence_[slot * heads + h] =
                     (laneStep_.masks[j] >> h & 1u)
-                        ? tileConfidenceScore(tile, iface.readKeys[h],
-                                              iface.readStrengths[h])
+                        ? tileConfidenceScore(tile, scoring.readKeys[h],
+                                              scoring.readStrengths[h])
                         : 0.0;
             }
         };

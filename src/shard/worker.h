@@ -4,23 +4,22 @@
  * tiles, driven entirely by wire frames.
  *
  * A worker is passive until a Hello configures it (shapes + datapath
- * validated, tiles constructed). Each Step frame then runs the full
- * local soft write + soft read pipeline on every hosted tile — the
- * exact MemoryUnit::stepInto() hot path the in-process engines use,
- * zero-allocation in steady state — and computes the confidence logits
+ * validated, tiles constructed, tile assignment recorded). It hosts
+ * `lanes` x hostedTiles independent tile sets (lane-major); a one-lane
+ * fleet is the synchronous coordinator. Each LaneStep frame steps any
+ * subset of lanes in one round trip: every named lane's hosted tiles
+ * run the full local soft write + soft read pipeline — the exact
+ * MemoryUnit::stepInto() hot path the in-process engines use,
+ * zero-allocation in steady state — and compute the confidence logits
  * for the heads the coordinator flagged, so the reply carries R read
  * vectors + R logits per tile and the merge never needs remote memory
- * contents. Multiple hosted tiles step on a local thread pool when the
- * handshake config asks for one (numThreads > 1), bit-identically to
- * sequential execution because tiles share no state.
- *
- * Serving fleets host multiple *lanes*: the handshake's `lanes` field
- * makes the worker construct lanes x hostedTiles independent tile sets
- * (lane-major). A LaneStep frame steps any subset of lanes in one round
- * trip — each named lane's hosted tiles run with that lane's broadcast
- * interface, all (lane, tile) pairs sharing one pool dispatch — and a
- * per-lane Control admits/resets one lane without touching the rest.
- * The legacy single-lane Step frame operates on lane 0.
+ * contents. A lane entry carries either one broadcast interface or all
+ * Nt per-tile interfaces (learned write sharding), of which the worker
+ * steps its own slice starting at its first global tile. All (lane,
+ * tile) pairs of a frame share one pool dispatch when the handshake
+ * asks for threads (numThreads > 1), bit-identically to sequential
+ * execution because tiles share no state. A per-lane Control
+ * admits/resets one lane without touching the rest.
  *
  * The same handleFrame() core serves both transports: LoopbackChannel
  * calls it synchronously (deterministic tests), serve() wraps it in a
@@ -33,9 +32,8 @@
  * allocation), Restore overwrites all hosted tile state from a
  * coordinator-held snapshot (acked with ControlAck), and Rejoin lets a
  * *fresh* worker process take over a lost worker's assignment: it
- * carries the Hello body plus the first global tile index, and the
- * worker builds zeroed tiles exactly like Hello — the coordinator then
- * Restores and replays. injectFault() arms the deterministic
+ * carries the Hello body, and the worker builds zeroed tiles exactly
+ * like Hello — the coordinator then Restores and replays. injectFault() arms the deterministic
  * kill/drop/delay harness tests and the bench use to script worker
  * death.
  */
@@ -95,7 +93,7 @@ class ShardWorker
     /** Admit controls received (episodes started on this worker). */
     std::uint64_t episodesServed() const { return episodesServed_; }
 
-    /** First global tile of a Rejoin assignment (0 for plain Hello). */
+    /** First global tile of the handshake's assignment. */
     std::uint64_t firstGlobalTile() const { return firstGlobalTile_; }
 
     /**
@@ -108,10 +106,9 @@ class ShardWorker
     bool faultFired() const { return fault_.dead(); }
 
   private:
-    void handleHello(const std::uint8_t *data, std::size_t size,
-                     FrameSink &sink);
-    void handleRejoin(const std::uint8_t *data, std::size_t size,
-                      FrameSink &sink);
+    /** Hello and Rejoin: validate + build tiles, answer with HelloAck. */
+    void handleHello(MsgType type, const std::uint8_t *data,
+                     std::size_t size, FrameSink &sink);
     void handleCheckpointRequest(const std::uint8_t *data, std::size_t size,
                                  FrameSink &sink);
     void handleRestore(const std::uint8_t *data, std::size_t size,
@@ -119,10 +116,7 @@ class ShardWorker
     void handleStatsPull(const std::uint8_t *data, std::size_t size,
                          FrameSink &sink);
 
-    /** Shared Hello/Rejoin body: validate + build tiles, fill the ack. */
     void applyConfig(const WireConfig &wire, HelloAckMsg &ack);
-    void handleStep(const std::uint8_t *data, std::size_t size,
-                    FrameSink &sink);
     void handleLaneStep(const std::uint8_t *data, std::size_t size,
                         FrameSink &sink);
     void handleControl(const std::uint8_t *data, std::size_t size,
@@ -135,18 +129,17 @@ class ShardWorker
     DncConfig shardConfig_;
     Index hostedTiles_ = 0; ///< tiles per lane
     Index lanes_ = 1;
+    Index globalTiles_ = 0; ///< Nt: per-tile LaneStep entries carry this many
     std::vector<std::unique_ptr<MemoryUnit>> tiles_; ///< lane-major
     std::unique_ptr<ThreadPool> pool_; ///< when numThreads > 1, tiles > 1
 
     // Reused per-frame state: the steady-state serve loop touches no
     // heap (decode resizes into warm buffers, encode reuses writer_).
-    StepMsg step_;
     LaneStepMsg laneStep_;
     std::vector<MemoryReadout> readouts_; ///< frame slots, lane-major
     std::vector<Real> confidence_; ///< frame slots x R, row-major
     WireWriter writer_;
-    std::function<void(Index)> stepTask_;     ///< prebuilt pool task
-    std::function<void(Index)> laneStepTask_; ///< lane-batched pool task
+    std::function<void(Index)> laneStepTask_; ///< prebuilt pool task
     std::vector<std::uint8_t> frame_;         ///< serve() recv buffer
 
     // Restore decodes into these scratch snapshots, then commits into

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -43,6 +44,17 @@ void *
 operator new[](std::size_t size)
 {
     return ::operator new(size);
+}
+
+// std::stable_sort's temporary buffer (the trace exporter) allocates
+// through the nothrow form. Route it through malloc as well: the
+// replaced operator delete below frees it, and a sanitizer runtime's
+// own nothrow new would not match that free.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocationCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
 }
 
 void *

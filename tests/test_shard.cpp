@@ -5,8 +5,10 @@
  * in-process DncD with the same config — read vectors, global-view
  * weightings, and the confidence-merge alphas — across
  * transports {loopback, unix socket, tcp, shm} x tiles {2, 4} x
- * worker threads {1, 4} x {float, fixed}, through per-tile write
- * gating, history-mode reads, and mid-stream episode resets.
+ * worker threads {1, 4} x {float, fixed} x {the one-lane
+ * ShardCoordinator, a lane view of a three-lane group}, through
+ * per-tile write gating, history-mode reads, and mid-stream episode
+ * resets.
  *
  * Also here: worker protocol edge cases (reject-before-hello, config
  * validation, malformed frames answered with Error), the serving stack
@@ -157,8 +159,7 @@ expectReadoutIdentical(const MemoryReadout &ref, const MemoryReadout &got,
 }
 
 void
-expectAlphasIdentical(const DncD &ref, const ShardCoordinator &got,
-                      int step)
+expectAlphasIdentical(const DncD &ref, const TileMemory &got, int step)
 {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     ASSERT_EQ(ref.lastAlphas().size(), got.lastAlphas().size());
@@ -174,20 +175,83 @@ expectAlphasIdentical(const DncD &ref, const ShardCoordinator &got,
 // The golden grid.
 // --------------------------------------------------------------------
 
+/** The coordinator-side surface a golden run drives. */
+enum class GoldenBackend
+{
+    Coordinator, ///< the one-lane ShardCoordinator
+    LaneView,    ///< lane 1 of a three-lane group, via laneMemory()
+};
+
+/**
+ * Two workers hosting the golden run's tiles behind one TileMemory.
+ * Both backends step through the same ShardLaneGroup entry points; the
+ * lane view also proves per-tile steps address the right lane of a
+ * multi-lane fleet while its neighbours idle.
+ */
+struct GoldenFleet
+{
+    LocalShardCluster stack;
+    LocalLaneCluster laneCluster;
+    std::unique_ptr<TileMemory> view; ///< borrows laneCluster.group
+    TileMemory *memory = nullptr;
+    ShardLaneGroup *group = nullptr;
+    Index lane = 0;
+
+    std::vector<std::shared_ptr<ShardWorker>> &
+    workers()
+    {
+        return view ? laneCluster.workers : stack.workers;
+    }
+
+    std::shared_ptr<RespawnHarness>
+    armRecovery(ClusterTransport transport)
+    {
+        return view ? armClusterRecovery(laneCluster, transport)
+                    : armClusterRecovery(stack, transport);
+    }
+};
+
+GoldenFleet
+makeGoldenFleet(GoldenBackend backend, ClusterTransport transport,
+                const DncConfig &cfg, Index tiles)
+{
+    const Index workerCount = 2; // exercises multi-tile workers at Nt=4
+    GoldenFleet fleet;
+    if (backend == GoldenBackend::Coordinator) {
+        fleet.stack = makeLocalCluster(transport, cfg, tiles, workerCount);
+        fleet.memory = fleet.stack.coordinator.get();
+        fleet.group = fleet.stack.coordinator.get();
+    } else {
+        fleet.laneCluster = makeLocalLaneCluster(
+            transport, cfg, tiles, /*lanes=*/3, workerCount,
+            MergePolicy::Confidence, /*wantWeightings=*/true);
+        fleet.lane = 1;
+        fleet.view = fleet.laneCluster.group->laneMemory(fleet.lane);
+        fleet.memory = fleet.view.get();
+        fleet.group = fleet.laneCluster.group.get();
+    }
+    return fleet;
+}
+
+const char *
+backendSuffix(GoldenBackend backend)
+{
+    return backend == GoldenBackend::LaneView ? "LaneView" : "";
+}
+
 class ShardGolden
     : public ::testing::TestWithParam<
-          std::tuple<ClusterTransport, int, int, bool>>
+          std::tuple<ClusterTransport, int, int, bool, GoldenBackend>>
 {};
 
 TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
 {
-    const auto [transport, tiles, threads, fixedPoint] = GetParam();
+    const auto [transport, tiles, threads, fixedPoint, backend] =
+        GetParam();
     const DncConfig cfg = gridConfig(tiles, threads, fixedPoint);
-    const Index workerCount = 2; // exercises multi-tile workers at Nt=4
 
-    LocalShardCluster stack =
-        makeLocalCluster(transport, cfg, tiles, workerCount);
-    ASSERT_TRUE(stack.coordinator != nullptr);
+    GoldenFleet fleet = makeGoldenFleet(backend, transport, cfg, tiles);
+    TileMemory &memory = *fleet.memory;
     DncD ref(cfg, tiles);
 
     Rng rng(305 + tiles);
@@ -197,7 +261,7 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
         if (step == 12) {
             // Mid-stream episode boundary crosses the control path.
             ref.reset();
-            stack.coordinator->reset();
+            memory.reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         if (step % 3 == 2) {
@@ -209,15 +273,14 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
                     perTile[t].writeGate = 0.0;
             }
             const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
+            const MemoryReadout b = memory.stepInterfaces(perTile);
             expectReadoutIdentical(a, b, step);
         } else {
             const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
+            const MemoryReadout b = memory.stepInterface(iface);
             expectReadoutIdentical(a, b, step);
         }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        expectAlphasIdentical(ref, memory, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -226,14 +289,13 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
     // equal the in-process shards, not just the merged outputs.
     if (transport == ClusterTransport::Loopback) {
         Index global = 0;
-        for (const auto &worker : stack.workers) {
+        for (const auto &worker : fleet.workers()) {
             for (Index i = 0; i < worker->hostedTiles(); ++i, ++global) {
                 SCOPED_TRACE(::testing::Message() << "tile " << global);
-                EXPECT_TRUE(worker->tile(i).memory() ==
-                            ref.shard(global).memory());
-                EXPECT_TRUE(worker->tile(i).usage() ==
-                            ref.shard(global).usage());
-                EXPECT_TRUE(worker->tile(i).rowNorms() ==
+                const MemoryUnit &tile = worker->laneTile(fleet.lane, i);
+                EXPECT_TRUE(tile.memory() == ref.shard(global).memory());
+                EXPECT_TRUE(tile.usage() == ref.shard(global).usage());
+                EXPECT_TRUE(tile.rowNorms() ==
                             ref.shard(global).rowNorms());
             }
         }
@@ -248,12 +310,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          ClusterTransport::Tcp,
                                          ClusterTransport::Shm),
                        ::testing::Values(2, 4), ::testing::Values(1, 4),
-                       ::testing::Bool()),
+                       ::testing::Bool(),
+                       ::testing::Values(GoldenBackend::Coordinator,
+                                         GoldenBackend::LaneView)),
     [](const auto &info) {
         return std::string(transportName(std::get<0>(info.param))) +
                "Nt" + std::to_string(std::get<1>(info.param)) + "T" +
                std::to_string(std::get<2>(info.param)) +
-               (std::get<3>(info.param) ? "Fixed" : "Float");
+               (std::get<3>(info.param) ? "Fixed" : "Float") +
+               backendSuffix(std::get<4>(info.param));
     });
 
 // --------------------------------------------------------------------
@@ -486,9 +551,9 @@ serveCfg()
 std::unique_ptr<TileMemory>
 loopbackBackend(const DncConfig &cfg, Index tiles, Index workers)
 {
-    LoopbackShard stack =
-        makeLoopbackShard(cfg, tiles, workers, MergePolicy::Confidence,
-                          /*wantWeightings=*/false);
+    LocalShardCluster stack =
+        makeLocalCluster(ClusterTransport::Loopback, cfg, tiles, workers,
+                         MergePolicy::Confidence, /*wantWeightings=*/false);
     // The workers live in the channel closures; only the coordinator
     // handle needs to escape.
     return std::move(stack.coordinator);
@@ -671,7 +736,7 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
                 if (chan && chan->recvFrame(frame)) // Hello
                     worker.handleFrame(frame.data(), frame.size(), *chan);
                 while (chan && chan->recvFrame(frame)) {
-                    // swallow Steps silently, forever
+                    // swallow step frames silently, forever
                 }
             });
             wedged.detach();
@@ -697,7 +762,7 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
 
 class ShardRecoveryGolden
     : public ::testing::TestWithParam<
-          std::tuple<ClusterTransport, int, bool>>
+          std::tuple<ClusterTransport, int, bool, GoldenBackend>>
 {};
 
 /**
@@ -709,15 +774,15 @@ class ShardRecoveryGolden
  */
 void
 runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
-                  Real linkageSkipThreshold)
+                  Real linkageSkipThreshold, GoldenBackend backend)
 {
     DncConfig cfg = gridConfig(tiles, 1, fixedPoint);
     cfg.shardCheckpointIntervalSteps = 4;
     cfg.linkageSkipThreshold = linkageSkipThreshold;
 
-    LocalShardCluster stack = makeLocalCluster(transport, cfg, tiles, 2);
-    ASSERT_TRUE(stack.coordinator != nullptr);
-    auto harness = armClusterRecovery(stack, transport);
+    GoldenFleet fleet = makeGoldenFleet(backend, transport, cfg, tiles);
+    TileMemory &memory = *fleet.memory;
+    auto harness = fleet.armRecovery(transport);
     DncD ref(cfg, tiles); // the undisturbed run
 
     // Scripted kills: worker 0 dies just before serving step 6 (replay
@@ -727,10 +792,10 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     // exercised too).
     FaultSpec killA;
     killA.killAtStepFrame = 6;
-    stack.workers[0]->injectFault(killA);
+    fleet.workers()[0]->injectFault(killA);
     FaultSpec killB;
     killB.killAtStepFrame = 14;
-    stack.workers[1]->injectFault(killB);
+    fleet.workers()[1]->injectFault(killB);
 
     Rng rng(305 + tiles);
     std::vector<InterfaceVector> perTile(tiles);
@@ -738,7 +803,7 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     for (int step = 0; step < kSteps; ++step) {
         if (step == 12) {
             ref.reset();
-            stack.coordinator->reset();
+            memory.reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         if (step % 3 == 2) {
@@ -748,38 +813,38 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
                     perTile[t].writeGate = 0.0;
             }
             const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
+            const MemoryReadout b = memory.stepInterfaces(perTile);
             expectReadoutIdentical(a, b, step);
         } else {
             const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
+            const MemoryReadout b = memory.stepInterface(iface);
             expectReadoutIdentical(a, b, step);
         }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        expectAlphasIdentical(ref, memory, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
 
-    EXPECT_TRUE(stack.workers[0]->faultFired());
-    EXPECT_TRUE(stack.workers[1]->faultFired());
-    EXPECT_EQ(stack.coordinator->recoveries(), 2u);
+    EXPECT_TRUE(fleet.workers()[0]->faultFired());
+    EXPECT_TRUE(fleet.workers()[1]->faultFired());
+    EXPECT_EQ(fleet.group->recoveries(), 2u);
     EXPECT_EQ(harness->workers.size(), 2u); // one replacement per kill
     // Checkpoints land at steps 4, 8, 12 and 16.
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 4u);
+    EXPECT_EQ(fleet.group->checkpointsTaken(), 4u);
 }
 
 TEST_P(ShardRecoveryGolden, KilledWorkersRestoreBitIdenticalToUndisturbed)
 {
-    const auto [transport, tiles, fixedPoint] = GetParam();
+    const auto [transport, tiles, fixedPoint, backend] = GetParam();
     runRecoveryGolden(transport, tiles, fixedPoint,
-                      /*linkageSkipThreshold=*/0.0);
+                      /*linkageSkipThreshold=*/0.0, backend);
 }
 
 TEST(ShardRecoveryLinkageSkim, NonzeroThresholdRestoresBitIdentical)
 {
     runRecoveryGolden(ClusterTransport::UnixSocket, 4, false,
-                      /*linkageSkipThreshold=*/1e-6);
+                      /*linkageSkipThreshold=*/1e-6,
+                      GoldenBackend::Coordinator);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -788,11 +853,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          ClusterTransport::UnixSocket,
                                          ClusterTransport::Tcp,
                                          ClusterTransport::Shm),
-                       ::testing::Values(2, 4), ::testing::Bool()),
+                       ::testing::Values(2, 4), ::testing::Bool(),
+                       ::testing::Values(GoldenBackend::Coordinator,
+                                         GoldenBackend::LaneView)),
     [](const auto &info) {
         return std::string(transportName(std::get<0>(info.param))) +
                "Nt" + std::to_string(std::get<1>(info.param)) +
-               (std::get<2>(info.param) ? "Fixed" : "Float");
+               (std::get<2>(info.param) ? "Fixed" : "Float") +
+               backendSuffix(std::get<3>(info.param));
     });
 
 class PipelinedShardRecoveryGolden
@@ -806,7 +874,7 @@ TEST_P(PipelinedShardRecoveryGolden,
     const auto [transport, tiles, fixedPoint] = GetParam();
     const Index lanes = 4;
     DncConfig cfg = gridConfig(tiles, 1, fixedPoint);
-    cfg.shardCheckpointIntervalSteps = 8; // lane-steps: every 2 rounds
+    cfg.shardCheckpointIntervalSteps = 2; // steps per lane: every 2 rounds
 
     LocalLaneCluster cluster = makeLocalLaneCluster(
         transport, cfg, tiles, lanes, /*workerCount=*/2,
@@ -897,7 +965,7 @@ TEST(PipelinedEngineRecovery, KillSurvivesLaneChurnBitExactly)
     cfg.inputSize = 9;
     cfg.outputSize = 7;
     cfg.batchSize = 3;
-    cfg.shardCheckpointIntervalSteps = 6;
+    cfg.shardCheckpointIntervalSteps = 2; // steps per lane
     const Index lanesPerBatch = 2;
     constexpr std::uint64_t kSeed = 77;
 
@@ -1059,7 +1127,8 @@ TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
     Rng rng(1);
     const InterfaceVector iface =
         golden::randomIface(gridConfig(2, 1, false), rng);
-    encodeStepBroadcast(1, false, 0, iface, 1, w);
+    const LaneStepEntry entry[] = {{0, 0, &iface}};
+    encodeLaneStep(1, false, entry, 1, w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     MsgType type;
@@ -1070,18 +1139,29 @@ TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
 
 TEST(ShardWorkerProtocol, InvalidConfigIsRejectedInTheAck)
 {
-    ShardWorker worker;
-    CollectSink sink;
-    WireConfig bad; // zero shapes
-    WireWriter w;
-    encodeHello(bad, w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 1u);
-    HelloAckMsg ack;
-    ASSERT_TRUE(decodeHelloAck(sink.frames[0].data(),
-                               sink.frames[0].size(), ack));
-    EXPECT_FALSE(ack.ok);
-    EXPECT_FALSE(worker.configured());
+    // Zero shapes, and tile assignments that do not fit inside the Nt
+    // tiles a per-tile LaneStep entry carries.
+    const DncConfig shard = shardConfigFor(gridConfig(4, 1, false), 4);
+    std::vector<WireConfig> bad(4, WireConfig::fromShard(shard, 2));
+    bad[0] = WireConfig();
+    bad[1].tiles = 3;
+    bad[1].firstTile = 2; // tiles 2..3 of a 3-tile fleet
+    bad[2].tiles = 4;
+    bad[2].firstTile = 5; // starts past the fleet
+    bad[3].tiles = 1u << 20; // beyond the Nt cap
+    for (const WireConfig &config : bad) {
+        ShardWorker worker;
+        CollectSink sink;
+        WireWriter w;
+        encodeHello(config, w);
+        worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
+        ASSERT_EQ(sink.frames.size(), 1u);
+        HelloAckMsg ack;
+        ASSERT_TRUE(decodeHelloAck(sink.frames[0].data(),
+                                   sink.frames[0].size(), ack));
+        EXPECT_FALSE(ack.ok);
+        EXPECT_FALSE(worker.configured());
+    }
 }
 
 TEST(ShardWorkerProtocol, MalformedFrameIsAnsweredWithError)
@@ -1096,44 +1176,11 @@ TEST(ShardWorkerProtocol, MalformedFrameIsAnsweredWithError)
                             err));
 }
 
-TEST(ShardWorkerProtocol, LegacyStepOnAMultiLaneWorkerAnswersLaneZero)
-{
-    // A lanes>1 handshake followed by a legacy single-lane Step: the
-    // reply must carry exactly hostedTiles readouts (lane 0), not the
-    // whole lanes x hostedTiles scratch.
-    const DncConfig cfg = gridConfig(2, 1, false);
-    const DncConfig shard = shardConfigFor(cfg, 2);
-    ShardWorker worker;
-    CollectSink sink;
-    WireWriter w;
-    encodeHello(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                      /*lanes=*/3),
-                w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 1u);
-    HelloAckMsg ack;
-    ASSERT_TRUE(decodeHelloAck(sink.frames[0].data(),
-                               sink.frames[0].size(), ack));
-    ASSERT_TRUE(ack.ok);
-    EXPECT_EQ(worker.lanes(), 3u);
-
-    Rng rng(9);
-    const InterfaceVector iface = golden::randomIface(shard, rng);
-    encodeStepBroadcast(1, false, 0b1, iface, 2, w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 2u);
-    StepReplyMsg reply;
-    ASSERT_TRUE(decodeStepReply(sink.frames[1].data(),
-                                sink.frames[1].size(), shard,
-                                /*hostedTiles=*/2, reply));
-    EXPECT_EQ(reply.seq, 1u);
-    EXPECT_EQ(reply.tiles.size(), 2u);
-}
-
 TEST(ShardWorkerProtocol, AdmitControlCountsEpisodes)
 {
     const DncConfig cfg = gridConfig(2, 1, false);
-    LoopbackShard stack = makeLoopbackShard(cfg, 2, 1);
+    LocalShardCluster stack =
+        makeLocalCluster(ClusterTransport::Loopback, cfg, 2, 1);
     EXPECT_EQ(stack.workers[0]->episodesServed(), 0u);
     stack.coordinator->beginEpisode();
     stack.coordinator->beginEpisode();
@@ -1148,9 +1195,11 @@ TEST(ShardWorkerProtocol, RejoinRecordsTheTileAssignment)
     ShardWorker worker;
     CollectSink sink;
     WireWriter w;
-    encodeRejoin(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                       /*lanes=*/3),
-                 /*firstTile=*/2, w);
+    WireConfig assignment =
+        WireConfig::fromShard(shard, /*hostedTiles=*/2, /*lanes=*/3);
+    assignment.tiles = 4;
+    assignment.firstTile = 2;
+    encodeRejoin(assignment, w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     HelloAckMsg ack;
@@ -1202,7 +1251,8 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
     Rng rng(13);
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
         const InterfaceVector iface = golden::randomIface(shard, rng);
-        encodeStepBroadcast(seq, false, 0, iface, 2, w);
+        const LaneStepEntry entry[] = {{0, 0, &iface}};
+        encodeLaneStep(seq, false, entry, 1, w);
         const bool alive =
             worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
         EXPECT_EQ(alive, seq < 3) << "seq " << seq;
@@ -1351,7 +1401,7 @@ TEST(ShardZeroAlloc, SteadyStatePipelinedEngineWithCheckpointing)
     DncConfig cfg = serveCfg();
     cfg.batchSize = 4;
     cfg.shardLanesPerBatch = 2;         // two overlapped batches per step
-    cfg.shardCheckpointIntervalSteps = 8; // lane-steps: pull every 2 steps
+    cfg.shardCheckpointIntervalSteps = 2; // per lane: pull every 2 steps
     LocalLaneCluster cluster = makeLocalLaneCluster(
         ClusterTransport::Loopback, cfg, /*tiles=*/4, cfg.batchSize,
         /*workerCount=*/2);
@@ -1380,7 +1430,10 @@ TEST(ShardZeroAlloc, SteadyStatePipelinedEngineWithCheckpointing)
         << "steady-state pipelined step with checkpointing performed "
            "heap allocations (lane-major checkpoint store, shared-frame "
            "replay log, or in-flight window tracking regressed)";
-    EXPECT_GE(cluster.group->checkpointsTaken(), 4u);
+    // The cadence counts steps per lane: a pull after every second
+    // engine step (steps 2, 4, 6, 8), not whenever the four lanes'
+    // summed steps reach the interval (which would pull every step).
+    EXPECT_EQ(cluster.group->checkpointsTaken(), 4u);
 }
 
 } // namespace

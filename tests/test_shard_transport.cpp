@@ -563,7 +563,7 @@ TEST_P(RecoveryTrafficAccounting, ReplayCountsEveryFrameExactlyOnce)
     auto harness = armClusterRecovery(stack, transport);
     DncD ref(cfg, tiles);
 
-    // Worker 0 dies receiving its 6th Step frame: one step past the
+    // Worker 0 dies receiving its 6th LaneStep frame: one step past the
     // step-4 checkpoint is logged (step 5), and step 6 itself is the
     // in-flight frame the recovery resends after the replay.
     FaultSpec kill;
@@ -588,31 +588,31 @@ TEST_P(RecoveryTrafficAccounting, ReplayCountsEveryFrameExactlyOnce)
     // replayed step 5, the resent in-flight step 6, live steps 7-12,
     // and the checkpoint pulls at steps 8 and 12. Exactly that — a
     // frame counted during replay AND again on the resend would show
-    // up here as Step > 8.
+    // up here as LaneStep > 8.
     const Channel &repl = stack.coordinator->channel(0);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::Hello), 0u);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::Rejoin), 1u);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::Restore), 1u);
-    EXPECT_EQ(frames(repl.sentStats(), MsgType::Step), 8u);
+    EXPECT_EQ(frames(repl.sentStats(), MsgType::LaneStep), 8u);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::CheckpointRequest), 2u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::HelloAck), 1u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::ControlAck), 1u);
-    EXPECT_EQ(frames(repl.receivedStats(), MsgType::StepReply), 8u);
+    EXPECT_EQ(frames(repl.receivedStats(), MsgType::LaneStepReply), 8u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::CheckpointState), 2u);
     // Every request produced exactly one reply — the ledger balances.
     EXPECT_EQ(repl.sentStats().totalFrames(),
               repl.receivedStats().totalFrames());
 
-    // channel(1) never died: one Hello, one Step per coordinator step,
+    // channel(1) never died: one Hello, one LaneStep per coordinator step,
     // one checkpoint pull per interval — recovery of its neighbour must
     // not have touched its stream.
     const Channel &calm = stack.coordinator->channel(1);
     EXPECT_EQ(frames(calm.sentStats(), MsgType::Hello), 1u);
     EXPECT_EQ(frames(calm.sentStats(), MsgType::Rejoin), 0u);
-    EXPECT_EQ(frames(calm.sentStats(), MsgType::Step),
+    EXPECT_EQ(frames(calm.sentStats(), MsgType::LaneStep),
               static_cast<std::uint64_t>(kSteps));
     EXPECT_EQ(frames(calm.sentStats(), MsgType::CheckpointRequest), 3u);
-    EXPECT_EQ(frames(calm.receivedStats(), MsgType::StepReply),
+    EXPECT_EQ(frames(calm.receivedStats(), MsgType::LaneStepReply),
               static_cast<std::uint64_t>(kSteps));
     EXPECT_EQ(frames(calm.receivedStats(), MsgType::CheckpointState), 3u);
     // No unparsable frames anywhere on a healthy wire.

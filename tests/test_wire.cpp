@@ -107,57 +107,64 @@ TEST(Wire, HelloAckRoundTrip)
     EXPECT_EQ(got.message, sent.message);
 }
 
-TEST(Wire, StepRoundTripPreservesEveryRealBitExactly)
+TEST(Wire, PerTileLaneStepRoundTripPreservesEveryRealBitExactly)
 {
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 0xDEADBEEFCAFEull;
-    sent.wantWeightings = true;
-    sent.scoredMask = 0b101;
-    sent.ifaces = {sampleIface(cfg, 1), sampleIface(cfg, 2)};
+    const std::vector<InterfaceVector> perTile = {sampleIface(cfg, 1),
+                                                  sampleIface(cfg, 2)};
+    const InterfaceVector broadcast = sampleIface(cfg, 3);
+    // A per-tile entry (learned write sharding) next to a broadcast one.
+    const LaneStepEntry entries[] = {{1, 0b101, perTile.data(), 2},
+                                     {3, 0b010, &broadcast}};
 
     WireWriter w;
-    encodeStep(sent, cfg, w);
-    StepMsg got;
-    ASSERT_TRUE(
-        decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2, got));
-    EXPECT_EQ(got.seq, sent.seq);
-    EXPECT_EQ(got.wantWeightings, sent.wantWeightings);
-    EXPECT_EQ(got.scoredMask, sent.scoredMask);
-    ASSERT_EQ(got.ifaces.size(), 2u);
-    for (Index t = 0; t < 2; ++t)
-        expectIfaceEqual(sent.ifaces[t], got.ifaces[t]);
+    encodeLaneStep(0xDEADBEEFCAFEull, true, entries, 2, w);
+    LaneStepMsg got;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
+                               /*lanes=*/4, /*tiles=*/2, got));
+    EXPECT_EQ(got.seq, 0xDEADBEEFCAFEull);
+    EXPECT_TRUE(got.wantWeightings);
+    EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{1, 3}));
+    EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b101, 0b010}));
+    EXPECT_EQ(got.perTile, (std::vector<std::uint8_t>{1, 0}));
+    for (Index t = 0; t < 2; ++t) {
+        expectIfaceEqual(perTile[t], got.tileIface(0, t));
+        expectIfaceEqual(broadcast, got.tileIface(1, t));
+    }
 }
 
-TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
+TEST(Wire, BroadcastEntryDecodesLikePerTileCopiesButShipsOneInterface)
 {
     const DncConfig cfg = shardCfg();
     const InterfaceVector iface = sampleIface(cfg, 5);
     const std::vector<InterfaceVector> copies(3, iface);
+    const LaneStepEntry broadcast[] = {{0, 0b11, &iface}};
+    const LaneStepEntry perTile[] = {{0, 0b11, copies.data(), 3}};
 
     WireWriter a, b;
-    encodeStepBroadcast(9, false, 0b11, iface, 3, a);
-    encodeStepSpan(9, false, 0b11, copies.data(), 3, b);
-    // The broadcast frame carries the interface once...
+    encodeLaneStep(9, false, broadcast, 1, a);
+    encodeLaneStep(9, false, perTile, 1, b);
+    // The broadcast entry carries the interface once...
     EXPECT_LT(a.buffer().size(), b.buffer().size() / 2);
 
-    // ...but decodes to the identical expanded message.
-    StepMsg fromBroadcast, fromSpan;
-    ASSERT_TRUE(decodeStep(a.buffer().data(), a.buffer().size(), cfg, 3,
-                           fromBroadcast));
-    ASSERT_TRUE(decodeStep(b.buffer().data(), b.buffer().size(), cfg, 3,
-                           fromSpan));
-    EXPECT_EQ(fromBroadcast.seq, fromSpan.seq);
-    EXPECT_EQ(fromBroadcast.scoredMask, fromSpan.scoredMask);
-    ASSERT_EQ(fromBroadcast.ifaces.size(), 3u);
+    // ...but every tile decodes to the identical interface.
+    LaneStepMsg fromBroadcast, fromPerTile;
+    ASSERT_TRUE(decodeLaneStep(a.buffer().data(), a.buffer().size(), cfg, 1,
+                               3, fromBroadcast));
+    ASSERT_TRUE(decodeLaneStep(b.buffer().data(), b.buffer().size(), cfg, 1,
+                               3, fromPerTile));
+    EXPECT_EQ(fromBroadcast.seq, fromPerTile.seq);
+    EXPECT_EQ(fromBroadcast.masks, fromPerTile.masks);
     for (Index t = 0; t < 3; ++t)
-        expectIfaceEqual(fromBroadcast.ifaces[t], fromSpan.ifaces[t]);
+        expectIfaceEqual(fromBroadcast.tileIface(0, t),
+                         fromPerTile.tileIface(0, t));
 }
 
-TEST(Wire, StepReplyRoundTrip)
+TEST(Wire, LaneStepReplyWithWeightingsRoundTrip)
 {
     const DncConfig cfg = shardCfg();
     const Index r = cfg.readHeads;
+    const std::uint32_t lanes[] = {0};
     Rng rng(11);
     std::vector<MemoryReadout> tiles(2);
     std::vector<Real> confidence;
@@ -172,11 +179,10 @@ TEST(Wire, StepReplyRoundTrip)
         confidence.push_back(rng.normal());
 
     WireWriter w;
-    encodeStepReply(42, true, tiles.data(), tiles.size(), confidence, cfg,
-                    w);
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(w.buffer().data(), w.buffer().size(), cfg,
-                                2, got));
+    encodeLaneStepReply(42, true, lanes, 1, 2, tiles, confidence, cfg, w);
+    LaneStepReplyMsg got;
+    ASSERT_TRUE(decodeLaneStepReply(w.buffer().data(), w.buffer().size(),
+                                    cfg, 2, /*maxLanes=*/1, got));
     EXPECT_EQ(got.seq, 42u);
     EXPECT_TRUE(got.hasWeightings);
     ASSERT_EQ(got.tiles.size(), 2u);
@@ -193,10 +199,11 @@ TEST(Wire, StepReplyRoundTrip)
     }
 }
 
-TEST(Wire, StepReplyWithoutWeightingsOmitsThem)
+TEST(Wire, LaneStepReplyWithoutWeightingsOmitsThem)
 {
     const DncConfig cfg = shardCfg();
     const Index r = cfg.readHeads;
+    const std::uint32_t lanes[] = {0};
     Rng rng(13);
     std::vector<MemoryReadout> tiles(1);
     for (Index h = 0; h < r; ++h) {
@@ -207,15 +214,13 @@ TEST(Wire, StepReplyWithoutWeightingsOmitsThem)
     const std::vector<Real> confidence(r, 0.5);
 
     WireWriter lean, full;
-    encodeStepReply(1, false, tiles.data(), tiles.size(), confidence, cfg,
-                    lean);
-    encodeStepReply(1, true, tiles.data(), tiles.size(), confidence, cfg,
-                    full);
+    encodeLaneStepReply(1, false, lanes, 1, 1, tiles, confidence, cfg, lean);
+    encodeLaneStepReply(1, true, lanes, 1, 1, tiles, confidence, cfg, full);
     EXPECT_LT(lean.buffer().size(), full.buffer().size());
 
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(lean.buffer().data(), lean.buffer().size(),
-                                cfg, 1, got));
+    LaneStepReplyMsg got;
+    ASSERT_TRUE(decodeLaneStepReply(lean.buffer().data(),
+                                    lean.buffer().size(), cfg, 1, 1, got));
     EXPECT_FALSE(got.hasWeightings);
     EXPECT_TRUE(got.tiles[0].readWeightings.empty());
 }
@@ -262,15 +267,15 @@ TEST(Wire, LaneStepRoundTripPreservesEveryLane)
     encodeLaneStep(0xFEEDu, true, entries, 3, w);
     LaneStepMsg got;
     ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                               /*lanes=*/6, got));
+                               /*lanes=*/6, /*tiles=*/2, got));
     EXPECT_EQ(got.seq, 0xFEEDu);
     EXPECT_TRUE(got.wantWeightings);
     ASSERT_EQ(got.lanes.size(), 3u);
     EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{0, 2, 5}));
     EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b001, 0b111, 0b000}));
-    expectIfaceEqual(a, got.ifaces[0]);
-    expectIfaceEqual(b, got.ifaces[1]);
-    expectIfaceEqual(c, got.ifaces[2]);
+    expectIfaceEqual(a, got.tileIface(0, 1));
+    expectIfaceEqual(b, got.tileIface(1, 1));
+    expectIfaceEqual(c, got.tileIface(2, 1));
 }
 
 TEST(Wire, LaneStepRejectsBadLaneLists)
@@ -284,31 +289,31 @@ TEST(Wire, LaneStepRejectsBadLaneLists)
     WireWriter w;
     encodeLaneStep(1, false, outOfRange, 1, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                /*lanes=*/4, out));
+                                /*lanes=*/4, /*tiles=*/2, out));
 
     // Duplicate lane (would race on that lane's tiles).
     const LaneStepEntry dup[] = {{1, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(2, false, dup, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
 
     // Descending order.
     const LaneStepEntry desc[] = {{3, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(3, false, desc, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
 
     // More lanes than hosted.
     const LaneStepEntry wide[] = {
         {0, 0, &iface}, {1, 0, &iface}, {2, 0, &iface}};
     encodeLaneStep(4, false, wide, 3, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                2, out));
+                                2, 2, out));
 
     // Zero lanes.
     encodeLaneStep(5, false, wide, 0, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
 }
 
 TEST(Wire, LaneStepReplyRoundTrip)
@@ -358,13 +363,13 @@ TEST(WireMalformed, LaneStepTruncationAtEveryByteIsRejected)
 
     LaneStepMsg out;
     for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, out))
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, 2, out))
             << "truncated LaneStep of " << len << " bytes decoded";
 
     // Trailing garbage after a well-formed frame is rejected too.
     std::vector<std::uint8_t> frame = w.buffer();
     frame.push_back(0xAB);
-    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, out));
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, 2, out));
 }
 
 TEST(WireMalformed, LaneStepReplyTruncationAtEveryByteIsRejected)
@@ -402,7 +407,71 @@ TEST(WireMalformed, LaneStepAdversarialCountsDoNotAllocate)
     w.putU32(0xFFFFFFFF); // laneCount — absurd
     LaneStepMsg out;
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
-                                shardCfg(), 8, out));
+                                shardCfg(), 8, 2, out));
+
+    // Same for a per-tile entry declaring 4 billion interfaces: the
+    // count must equal the handshake's Nt before anything resizes.
+    w.clear();
+    w.header(MsgType::LaneStep);
+    w.putU64(1);
+    w.putU8(0);
+    w.putU32(1);          // one lane entry
+    w.putU32(0);          // lane
+    w.putU32(0);          // scoredMask
+    w.putU8(1);           // per-tile
+    w.putU32(0xFFFFFFFF); // interface count — absurd
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                shardCfg(), 8, 2, out));
+}
+
+TEST(WireMalformed, PerTileLaneStepTruncationAtEveryByteIsRejected)
+{
+    const DncConfig cfg = shardCfg();
+    const std::vector<InterfaceVector> perTile = {sampleIface(cfg, 44),
+                                                  sampleIface(cfg, 45)};
+    const LaneStepEntry entries[] = {{0, 0b11, perTile.data(), 2}};
+    WireWriter w;
+    encodeLaneStep(14, true, entries, 1, w);
+
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 1,
+                               2, out));
+    for (std::size_t len = 0; len < w.buffer().size(); ++len)
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 1, 2, out))
+            << "truncated per-tile LaneStep of " << len << " bytes decoded";
+}
+
+TEST(WireMalformed, PerTileLaneStepFlagAndCountAreValidated)
+{
+    const DncConfig cfg = shardCfg();
+    const std::vector<InterfaceVector> perTile = {sampleIface(cfg, 46),
+                                                  sampleIface(cfg, 47)};
+    const LaneStepEntry entries[] = {{0, 0b1, perTile.data(), 2}};
+    WireWriter w;
+    encodeLaneStep(15, false, entries, 1, w);
+    // Header 4, seq 8, wantWeightings 1, lane count 4, lane 4, mask 4:
+    // the per-tile flag byte sits at offset 25, the count right after.
+    constexpr std::size_t kFlag = 25;
+    std::vector<std::uint8_t> frame = w.buffer();
+    ASSERT_EQ(frame[kFlag], 1u);
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, out));
+
+    // A flag byte other than 0 or 1 is rejected.
+    for (std::uint8_t flag : {2, 0x80, 0xFF}) {
+        frame[kFlag] = flag;
+        EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2,
+                                    out))
+            << "per-tile flag " << static_cast<int>(flag) << " decoded";
+    }
+
+    // A per-tile count that differs from the handshake's Nt is rejected,
+    // whether the frame's own count is off or the receiver's Nt is.
+    frame = w.buffer();
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 3, out));
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 1, out));
+    frame[kFlag + 1] = 1; // count u32 little-endian: 2 -> 1
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, out));
 }
 
 TEST(Wire, ErrorRoundTripAndPeek)
@@ -424,21 +493,6 @@ TEST(Wire, ErrorRoundTripAndPeek)
 // --------------------------------------------------------------------
 // Malformed frames.
 // --------------------------------------------------------------------
-
-TEST(WireMalformed, TruncationAtEveryByteIsRejected)
-{
-    const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 3;
-    sent.ifaces = {sampleIface(cfg, 7), sampleIface(cfg, 8)};
-    WireWriter w;
-    encodeStep(sent, cfg, w);
-
-    StepMsg out;
-    for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeStep(w.buffer().data(), len, cfg, 2, out))
-            << "truncated frame of " << len << " bytes decoded";
-}
 
 TEST(WireMalformed, HeaderCorruptionIsRejected)
 {
@@ -466,25 +520,24 @@ TEST(WireMalformed, HeaderCorruptionIsRejected)
 TEST(WireMalformed, WrongShapesAreRejected)
 {
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.ifaces = {sampleIface(cfg, 9)};
+    const InterfaceVector iface = sampleIface(cfg, 9);
+    const LaneStepEntry entries[] = {{0, 0, &iface}};
     WireWriter w;
-    encodeStep(sent, cfg, w);
+    encodeLaneStep(1, false, entries, 1, w);
 
-    StepMsg out;
-    // Tile-count mismatch.
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2,
-                            out));
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 1,
+                               1, out));
     // Shape mismatch: the receiver expects a wider W.
     DncConfig wide = cfg;
     wide.memoryWidth = cfg.memoryWidth + 4;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), wide, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), wide,
+                                1, 1, out));
     // Head-count mismatch.
     DncConfig heads = cfg;
     heads.readHeads = cfg.readHeads + 1;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), heads, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), heads,
+                                1, 1, out));
 }
 
 TEST(WireMalformed, TrailingGarbageIsRejected)
@@ -499,30 +552,32 @@ TEST(WireMalformed, TrailingGarbageIsRejected)
 
 TEST(WireMalformed, AdversarialCountsDoNotAllocate)
 {
-    // A hand-built Step frame declaring 4 billion read keys: the
-    // decoder must reject on the count check, not resize first.
+    // A hand-built LaneStep declaring 4 billion read keys: the decoder
+    // must reject on the count check, not resize first.
     WireWriter w;
-    w.header(MsgType::Step);
+    w.header(MsgType::LaneStep);
     w.putU64(1);          // seq
     w.putU8(0);           // wantWeightings
+    w.putU32(1);          // one lane entry
+    w.putU32(0);          // lane
     w.putU32(0);          // scoredMask
-    w.putU8(0);           // per-tile interfaces
-    w.putU32(1);          // one tile
+    w.putU8(0);           // broadcast
     w.putU32(0xFFFFFFFF); // readKeys count — absurd
-    StepMsg out;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), shardCfg(),
-                            1, out));
+    LaneStepMsg out;
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                shardCfg(), 1, 1, out));
 
     // Same for a vector length beyond the remaining bytes.
     WireWriter v;
-    v.header(MsgType::StepReply);
+    v.header(MsgType::LaneStepReply);
     v.putU64(1);
     v.putU8(0);
-    v.putU32(1);          // one tile
+    v.putU32(1);          // one lane
+    v.putU32(0);          // lane id
     v.putU32(0x40000000); // first read vector claims 2^30 reals
-    StepReplyMsg reply;
-    EXPECT_FALSE(decodeStepReply(v.buffer().data(), v.buffer().size(),
-                                 shardCfg(), 1, reply));
+    LaneStepReplyMsg reply;
+    EXPECT_FALSE(decodeLaneStepReply(v.buffer().data(), v.buffer().size(),
+                                     shardCfg(), 1, 1, reply));
 }
 
 // --------------------------------------------------------------------
@@ -543,14 +598,15 @@ TEST(Wire, CheckpointRequestAndRejoinRoundTrip)
 
     DncConfig cfg = shardCfg();
     cfg.fixedPoint = true;
-    const WireConfig sent = WireConfig::fromShard(cfg, 3, /*lanes=*/2);
-    encodeRejoin(sent, /*firstTile=*/5, w);
+    WireConfig sent = WireConfig::fromShard(cfg, 3, /*lanes=*/2);
+    sent.tiles = 8;
+    sent.firstTile = 5;
+    encodeRejoin(sent, w);
     WireConfig got;
-    std::uint64_t firstTile = 0;
-    ASSERT_TRUE(
-        decodeRejoin(w.buffer().data(), w.buffer().size(), got, firstTile));
+    ASSERT_TRUE(decodeRejoin(w.buffer().data(), w.buffer().size(), got));
     EXPECT_EQ(got, sent);
-    EXPECT_EQ(firstTile, 5u);
+    EXPECT_EQ(got.tiles, 8u);
+    EXPECT_EQ(got.firstTile, 5u);
 }
 
 TEST(Wire, CheckpointStateRestoresABitExactReplica)
@@ -661,12 +717,10 @@ TEST(WireMalformed, CheckpointFrameTruncationAtEveryByteIsRejected)
             << "truncated CheckpointRequest of " << len << " bytes decoded";
 
     WireWriter rejoin;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 1, rejoin);
+    encodeRejoin(WireConfig::fromShard(cfg, 2), rejoin);
     WireConfig outCfg;
-    std::uint64_t firstTile = 0;
     for (std::size_t len = 0; len < rejoin.buffer().size(); ++len)
-        EXPECT_FALSE(decodeRejoin(rejoin.buffer().data(), len, outCfg,
-                                  firstTile))
+        EXPECT_FALSE(decodeRejoin(rejoin.buffer().data(), len, outCfg))
             << "truncated Rejoin of " << len << " bytes decoded";
 
     std::vector<std::unique_ptr<MemoryUnit>> tiles;
@@ -741,17 +795,53 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
     WireConfig got;
     EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
 
-    std::uint64_t firstTile = 0;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 0, w);
+    encodeRejoin(WireConfig::fromShard(cfg, 2), w);
     frame = w.buffer();
     frame[2] = 2;
-    EXPECT_FALSE(decodeRejoin(frame.data(), frame.size(), got, firstTile));
+    EXPECT_FALSE(decodeRejoin(frame.data(), frame.size(), got));
 
     std::uint64_t seq = 0;
     encodeCheckpointRequest(9, w);
     frame = w.buffer();
     frame[2] = 2;
     EXPECT_FALSE(decodeCheckpointRequest(frame.data(), frame.size(), seq));
+}
+
+TEST(WireVersionSkew, V6PeerIsRejectedAtTheHandshakeAndStepFrames)
+{
+    // v7 changed the handshake body and the LaneStep entry layout, so a
+    // v6 peer must fail closed at peekType and at every decoder that
+    // would otherwise misread its frames.
+    const DncConfig cfg = shardCfg();
+    WireWriter w;
+    encodeHello(WireConfig::fromShard(cfg, 2), w);
+    std::vector<std::uint8_t> frame = w.buffer();
+    ASSERT_EQ(kWireVersion, 7u);
+    frame[2] = 6;
+    MsgType type;
+    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+    WireConfig got;
+    EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
+
+    const InterfaceVector iface = sampleIface(cfg, 61);
+    const LaneStepEntry entries[] = {{0, 0b1, &iface}};
+    encodeLaneStep(1, false, entries, 1, w);
+    frame = w.buffer();
+    frame[2] = 6;
+    LaneStepMsg step;
+    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, step));
+
+    const std::uint32_t lanes[] = {0};
+    std::vector<MemoryReadout> readouts(1);
+    readouts[0].readVectors.assign(cfg.readHeads, Vector(cfg.memoryWidth));
+    const std::vector<Real> confidence(cfg.readHeads, 0.0);
+    encodeLaneStepReply(1, false, lanes, 1, 1, readouts, confidence, cfg, w);
+    frame = w.buffer();
+    frame[2] = 6;
+    LaneStepReplyMsg reply;
+    EXPECT_FALSE(
+        decodeLaneStepReply(frame.data(), frame.size(), cfg, 1, 1, reply));
 }
 
 // --------------------------------------------------------------------
@@ -788,7 +878,7 @@ TEST(Transport, LoopbackDeliversInOrderAndCountsBytes)
 
 // --------------------------------------------------------------------
 // LoopbackChannel inbox-ring reuse across a worker's serving life:
-// multiple outstanding Steps, Admit controls mid-stream, back-to-back
+// multiple outstanding LaneSteps, Admit controls mid-stream, back-to-back
 // episodes on the same channel — the reply ring must hand frames back
 // in order through every transition.
 // --------------------------------------------------------------------
@@ -829,19 +919,20 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
         ASSERT_TRUE(decodeControlAck(frame.data(), frame.size(), ackSeq));
         EXPECT_EQ(ackSeq, admit.seq);
 
-        // Three Steps queued before any reply is popped: the inbox ring
+        // Three LaneSteps queued before any reply is popped: the inbox ring
         // must hold multiple outstanding replies and deliver them in
         // send order with the matching sequence ids.
         const std::uint64_t firstSeq = seq + 1;
+        const LaneStepEntry entry[] = {{0, 0b1, &iface}};
         for (int burst = 0; burst < 3; ++burst) {
-            encodeStepBroadcast(++seq, false, 0b1, iface, hosted, w);
+            encodeLaneStep(++seq, false, entry, 1, w);
             chan.sendFrame(w.buffer().data(), w.buffer().size());
         }
         for (int burst = 0; burst < 3; ++burst) {
             ASSERT_TRUE(chan.recvFrame(frame));
-            StepReplyMsg reply;
-            ASSERT_TRUE(decodeStepReply(frame.data(), frame.size(), cfg,
-                                        hosted, reply));
+            LaneStepReplyMsg reply;
+            ASSERT_TRUE(decodeLaneStepReply(frame.data(), frame.size(), cfg,
+                                            hosted, 1, reply));
             EXPECT_EQ(reply.seq, firstSeq + burst)
                 << "episode " << episode << " reply out of order";
         }
@@ -852,10 +943,10 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 
     // The channel classified traffic per message type.
     EXPECT_EQ(chan.sentStats()
-                  .frames[static_cast<std::size_t>(MsgType::Step)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStep)],
               9u);
     EXPECT_EQ(chan.receivedStats()
-                  .frames[static_cast<std::size_t>(MsgType::StepReply)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStepReply)],
               9u);
     EXPECT_EQ(chan.sentStats()
                   .frames[static_cast<std::size_t>(MsgType::Control)],
