@@ -13,51 +13,100 @@ namespace hima {
 
 namespace {
 
+/** Lane count of the canonical row-mass summation (see rowMassOf). */
+constexpr Index kMassLanes = 8;
+
+/** The canonical lane combine: ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)). */
+inline Real
+combineMassLanes(const Real a[kMassLanes])
+{
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+}
+
 /**
- * Absolute mass of one linkage row, summed in ascending-j order. The
- * sweep's in-pass refresh and restoreState()'s rebuild both call this,
- * so an undisturbed run and a checkpoint-restored one make identical
- * skip decisions (same values, same summation order, bit-identical).
+ * Absolute mass of one linkage row in the canonical summation order:
+ * lane j & 7 accumulates |row[j]| in ascending j, and the eight lanes
+ * are combined in combineMassLanes' fixed order. Every mass refresh —
+ * both sweeps and restoreState()'s rebuild — goes through this order
+ * (or rowMassOfSparse, which reproduces it), so an undisturbed run and
+ * a checkpoint-restored one make identical skip decisions. The lanes
+ * are independent chains, so vectorizing them reorders nothing: AVX2
+ * and portable builds give the same bits.
  */
 inline Real
 rowMassOf(const Real *row, Index n)
 {
-    Real acc = 0.0;
-    for (Index j = 0; j < n; ++j)
-        acc += std::fabs(row[j]);
-    return acc;
+    Real a[kMassLanes] = {};
+    Index j = 0;
+    for (; j + kMassLanes <= n; j += kMassLanes)
+        for (Index l = 0; l < kMassLanes; ++l)
+            a[l] += std::fabs(row[j + l]);
+    for (; j < n; ++j)
+        a[j & (kMassLanes - 1)] += std::fabs(row[j]);
+    return combineMassLanes(a);
 }
 
 /**
  * Column-sparse variant: sums |row[j]| over the ascending touched-column
- * list only. Bit-identical to rowMassOf when every unlisted column is
- * exactly zero (the touched-set invariant): the skipped terms are
- * fabs(+0.0) == +0.0 and the accumulator is nonnegative, so adding them
- * never changes a bit.
+ * list only, into lane j & 7 — the lane is chosen by *column*, not by
+ * list position. Bit-identical to rowMassOf when every unlisted column
+ * is exactly zero (the touched-set invariant): each lane's chain only
+ * misses fabs(+0.0) == +0.0 terms, and adding those to a nonnegative
+ * accumulator never changes a bit.
  */
 inline Real
 rowMassOfSparse(const Real *row, const Index *cols, Index count)
 {
-    Real acc = 0.0;
-    for (Index k = 0; k < count; ++k)
-        acc += std::fabs(row[cols[k]]);
-    return acc;
+    Real a[kMassLanes] = {};
+    for (Index k = 0; k < count; ++k) {
+        const Index j = cols[k];
+        a[j & (kMassLanes - 1)] += std::fabs(row[j]);
+    }
+    return combineMassLanes(a);
 }
+
+/**
+ * Software prefetch of the next row block, spread over the current
+ * block's read stage: each step() requests one more 64-byte line of
+ * [next, end) (with write intent — the update rewrites those rows).
+ * The read kernels call it every second column, so a block of four
+ * full rows (n/2 lines) is requested over one pass of readQuad4. A
+ * default-constructed cursor is empty and step() is a no-op. Only the
+ * full-column path arms it: the next block's rows are then contiguous
+ * and lie inside the matrix, so no prefetch reaches past its end.
+ */
+struct BlockPrefetch
+{
+    const char *next = nullptr;
+    const char *end = nullptr;
+
+    void
+    step()
+    {
+        if (next < end) {
+            __builtin_prefetch(next, 1, 3);
+            next += 64;
+        }
+    }
+};
 
 /**
  * Read-stage body for one updated row of L: accumulates the row's
  * contribution to every head's forward dot (chain order: j ascending)
  * and to the interleaved backward lanes (chain order: i ascending at
  * the caller). R is the compile-time head count; each head owns one
- * lane, multiplies and adds round separately.
+ * lane, multiplies and adds round separately. `pf` streams the next
+ * row block towards the cache meanwhile (see BlockPrefetch).
  */
 template <Index R>
 inline void
 readRow(const Real *row, Index n, const Real *wInt, Real *bwInt,
-        const Real *wv, Real *accOut)
+        const Real *wv, Real *accOut, BlockPrefetch &pf)
 {
     Real acc[R] = {};
     for (Index j = 0; j < n; ++j) {
+        if (!(j & 1))
+            pf.step();
         const Real lij = row[j];
         const Real *wj = wInt + j * R;
         Real *bj = bwInt + j * R;
@@ -109,11 +158,13 @@ readRowSparse(const Real *row, const Index *cols, Index count,
 template <>
 inline void
 readRow<4>(const Real *row, Index n, const Real *wInt, Real *bwInt,
-           const Real *wv, Real *accOut)
+           const Real *wv, Real *accOut, BlockPrefetch &pf)
 {
     __m256d acc = _mm256_setzero_pd();
     const __m256d wvv = _mm256_loadu_pd(wv);
     for (Index j = 0; j < n; ++j) {
+        if (!(j & 1))
+            pf.step();
         const __m256d lij = _mm256_set1_pd(row[j]);
         acc = _mm256_add_pd(acc,
                             _mm256_mul_pd(lij, _mm256_loadu_pd(wInt + 4 * j)));
@@ -131,11 +182,13 @@ readRow<4>(const Real *row, Index n, const Real *wInt, Real *bwInt,
  * backward lanes absorb the four rows' contributions in ascending row
  * order (four separate adds per j), and each forward accumulator keeps
  * its own j-ascending chain — still bit-identical to the standalone
- * kernels.
+ * kernels. This is also where the next block's prefetch overlaps: the
+ * four rows were just updated and are cache-resident, so without it
+ * the loop would leave the memory system idle.
  */
 inline void
 readQuad4(const Real *r0, Index n, const Real *wInt, Real *bwInt,
-          const Real *wv0, Real accOut[4][4])
+          const Real *wv0, Real accOut[4][4], BlockPrefetch &pf)
 {
     const Real *r1 = r0 + n;
     const Real *r2 = r1 + n;
@@ -149,6 +202,8 @@ readQuad4(const Real *r0, Index n, const Real *wInt, Real *bwInt,
     const __m256d v2 = _mm256_loadu_pd(wv0 + 8);
     const __m256d v3 = _mm256_loadu_pd(wv0 + 12);
     for (Index j = 0; j < n; ++j) {
+        if (!(j & 1))
+            pf.step();
         const __m256d wj = _mm256_loadu_pd(wInt + 4 * j);
         const __m256d l0 = _mm256_set1_pd(r0[j]);
         const __m256d l1 = _mm256_set1_pd(r1[j]);
@@ -613,28 +668,49 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
     // so an all-active matrix blocks exactly as the dense sweep did and
     // a sparse one pays only for the rows it visits. Skipped rows never
     // enter a timed region — their wall-clock attribution is zero.
+    //
+    // While one block's read stage runs from cache, the next block's
+    // rows are prefetched (full-column path only; see BlockPrefetch),
+    // so the update stream of block k+1 overlaps the compute of block
+    // k instead of following it.
     constexpr Index kBlock = 4;
     using Clock = std::chrono::steady_clock;
     const bool timed = profiler != nullptr;
     std::uint64_t updateNs = 0;
     std::uint64_t readNs = 0;
 
+    // Length of the run of consecutive active rows starting at
+    // activeRows_[at], capped at kBlock.
+    auto runLength = [&](Index at) {
+        Index len = 1;
+        while (len < kBlock && at + len < numActive &&
+               activeRows_[at + len] == activeRows_[at] + len)
+            ++len;
+        return len;
+    };
+
     Index cursor = 0;
+    Index blockLen = numActive > 0 ? runLength(0) : 0;
     while (cursor < numActive) {
         const Index blockStart = activeRows_[cursor];
-        Index blockLen = 1;
-        while (blockLen < kBlock && cursor + blockLen < numActive &&
-               activeRows_[cursor + blockLen] == blockStart + blockLen)
-            ++blockLen;
-        cursor += blockLen;
         const Index blockEnd = blockStart + blockLen;
+        cursor += blockLen;
+        const Index nextLen = cursor < numActive ? runLength(cursor) : 0;
+        BlockPrefetch pf;
+        if (fullCols && nextLen > 0) {
+            const Real *next = L + activeRows_[cursor] * slots_;
+            pf.next = reinterpret_cast<const char *>(next);
+            pf.end = reinterpret_cast<const char *>(next + nextLen * slots_);
+        }
+        blockLen = nextLen;
         const auto t0 = timed ? Clock::now() : Clock::time_point{};
 
         // HR.(1): update rows [blockStart, blockEnd) of L, exactly as
         // updateLinkage() does, refreshing each row's mass cache from
-        // the finished row (ascending j — restoreState()'s order).
-        // Untouched columns hold +0.0 in row, p and w's touched test,
-        // so iterating only the touched columns is bit-identical.
+        // the finished row in the canonical lane order (rowMassOf —
+        // restoreState()'s order). Untouched columns hold +0.0 in row,
+        // p and w's touched test, so iterating only the touched
+        // columns is bit-identical.
         for (Index i = blockStart; i < blockEnd; ++i) {
             const Real wi = w[i];
             Real *row = L + i * slots_;
@@ -664,7 +740,7 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
                 Real acc[4][4];
                 if (fullCols)
                     readQuad4(L + blockStart * slots_, slots_, wInt, bwInt,
-                              wInt + blockStart * 4, acc);
+                              wInt + blockStart * 4, acc, pf);
                 else
                     readQuad4Sparse(L + blockStart * slots_, slots_, cols,
                                     tcount, wInt, bwInt,
@@ -690,7 +766,7 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
                 Real acc[R == 0 ? 1 : R];
                 if (fullCols)
                     readRow<R == 0 ? 1 : R>(row, slots_, wInt, bwInt,
-                                            wInt + i * heads, acc);
+                                            wInt + i * heads, acc, pf);
                 else
                     readRowSparse<R == 0 ? 1 : R>(row, cols, tcount, wInt,
                                                   bwInt, wInt + i * heads,
@@ -704,6 +780,8 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
                     Real a = 0.0;
                     if (fullCols) {
                         for (Index j = 0; j < slots_; ++j) {
+                            if (!(j & 1))
+                                pf.step();
                             a += row[j] * wInt[j * heads + h];
                             bwInt[j * heads + h] += row[j] * hv;
                         }
@@ -773,21 +851,17 @@ TemporalLinkage::reset()
 void
 TemporalLinkage::rebuildMassAndMarkTouched()
 {
-    // The mass rebuild uses the sweep's own ascending-j summation, so a
+    // The mass rebuild calls the sweeps' own rowMassOf, so a
     // mid-episode restore makes bit-identical skip decisions to the
     // undisturbed run it snapshots. Marking every column that holds a
     // nonzero entry keeps the sweeps' "untouched columns are exactly
     // zero" invariant even for hand-edited snapshots.
     for (Index i = 0; i < slots_; ++i) {
         const Real *row = linkage_.data() + i * slots_;
-        Real acc = 0.0;
-        for (Index j = 0; j < slots_; ++j) {
-            const Real a = std::fabs(row[j]);
-            acc += a;
-            if (a != 0.0)
+        for (Index j = 0; j < slots_; ++j)
+            if (row[j] != 0.0)
                 touched_[j] = 1;
-        }
-        rowMass_[i] = acc;
+        rowMass_[i] = rowMassOf(row, slots_);
     }
     touchedListValid_ = false;
 }

@@ -26,8 +26,8 @@ namespace hima {
  * The kernels exploit the matrix's structural sparsity: row and column
  * i of L are exactly zero until slot i has ever received write mass,
  * and the row's total mass is tracked in a per-row cache (`rowMass()`,
- * the sum of absolute entries, refreshed in the same pass that writes
- * the row). A row is *active* — swept by the update and read kernels —
+ * the sum of absolute entries in one canonical lane order, refreshed in
+ * the same pass that writes the row). A row is *active* — swept by the update and read kernels —
  * only while its cached mass, or its current write weight, exceeds
  * `skipThreshold`; inactive rows are left untouched and contribute
  * nothing to the forward/backward weightings, so every kernel costs
@@ -41,6 +41,10 @@ namespace hima {
  * refresh, the forward dots and the backward accumulations all iterate
  * the touched columns only, making the fused sweep O(A * T) with T =
  * touched slots instead of O(A * N).
+ *
+ * At large N the fused sweep is bound by streaming L through the
+ * memory hierarchy, so it prefetches the next row block while the
+ * current one's read stage computes from cache (see updateAndRead()).
  *
  * At threshold 0 (default) only exactly-zero rows/columns are skipped
  * and every kernel is bit-identical to the dense sweep (a skipped row
@@ -107,10 +111,16 @@ class TemporalLinkage
      * accumulation runs in the same order — but the N x N linkage
      * matrix moves through DRAM once per step instead of once per
      * kernel invocation (2 + 2R passes), which is what the O(N^2)
-     * kernels are bound by at large N. Profiler op counts and
-     * invocation counts match the separate calls; wall-clock time is
-     * split between the Linkage and ForwardBackward scopes at block
-     * granularity.
+     * kernels are bound by at large N. That one pass is also
+     * overlapped with compute: while a block's read stage runs from
+     * cache, the rows of the next active block are prefetched (one
+     * 64-byte line every second column, full-column path only, never
+     * past the matrix), so the next update finds them near the core.
+     * Profiler op counts and invocation counts match the separate
+     * calls; wall-clock time is split between the Linkage and
+     * ForwardBackward scopes at block granularity — the read stage
+     * absorbs the prefetch it issues, so judge a change to the overlap
+     * by the sum of the two scopes.
      *
      * Does not touch the precedence vector: call updatePrecedence()
      * afterwards, exactly as with the separate kernels.
@@ -128,9 +138,14 @@ class TemporalLinkage
 
     /**
      * Per-row mass cache: rowMass()[i] == sum_j |L[i][j]|, refreshed in
-     * the same pass that last wrote row i (bit-identical to a fresh
-     * recompute in ascending-j order — restoreState() relies on that).
-     * Rows skipped by the sweep keep their previous (still valid) mass.
+     * the same pass that last wrote row i. The summation order is fixed:
+     * eight partial sums, lane j & 7 accumulating |L[i][j]| in ascending
+     * j, combined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)). Every refresh
+     * (dense or column-sparse sweep, updateLinkage) and restoreState()'s
+     * rebuild use that order, so the cache is bit-identical to a fresh
+     * recompute in it — which is what keeps a restored run's skips equal
+     * to an undisturbed one's. Rows skipped by the sweep keep their
+     * previous (still valid) mass.
      */
     const Vector &rowMass() const { return rowMass_; }
 
@@ -201,7 +216,7 @@ class TemporalLinkage
 
     /**
      * Rebuild rowMass_ from the full matrix (restoreState's recompute,
-     * same ascending-j order as the sweeps' refresh) and mark every
+     * the sweeps' canonical lane order — see rowMass()) and mark every
      * column holding a nonzero entry as touched, in one fused pass.
      */
     void rebuildMassAndMarkTouched();

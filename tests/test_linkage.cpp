@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/random.h"
 #include "dnc/temporal_linkage.h"
@@ -188,6 +189,20 @@ referenceActiveRows(const Matrix &link, const Vector &w, Real threshold)
 }
 
 /**
+ * Row mass recomputed from the matrix in the canonical order the class
+ * documents for rowMass(): lane j & 7 sums |L[i][j]| in ascending j,
+ * and the lanes combine as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)).
+ */
+Real
+canonicalRowMass(const Matrix &link, Index i)
+{
+    Real a[8] = {};
+    for (Index j = 0; j < link.cols(); ++j)
+        a[j & 7] += std::fabs(link(i, j));
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+}
+
+/**
  * A sparse write pattern: most steps write 1-3 slots drawn from a pool
  * that grows over time, and some steps write nothing (closed write
  * gate), so a prefix of the slots accumulates linkage mass while the
@@ -273,13 +288,11 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
         EXPECT_TRUE(f1 == f2);
         EXPECT_TRUE(b1 == b2);
 
-        // The cache itself matches a fresh recompute of the matrix.
-        for (Index i = 0; i < n; ++i) {
-            Real mass = 0.0;
-            for (Index j = 0; j < n; ++j)
-                mass += std::fabs(sparse.linkage()(i, j));
-            EXPECT_DOUBLE_EQ(sparse.rowMass()[i], mass);
-        }
+        // The cache itself matches a fresh recompute of the matrix in
+        // the canonical lane order, bit for bit.
+        for (Index i = 0; i < n; ++i)
+            EXPECT_EQ(sparse.rowMass()[i], canonicalRowMass(sparse.linkage(), i))
+                << "row " << i;
 
         sparse.updatePrecedence(w, &profSparse);
         dense.updatePrecedence(w);
@@ -341,24 +354,42 @@ TEST(SparseLinkage, ResetClearsRowMass)
 }
 
 /**
- * Satellite of the checkpoint/restore path: restoreState() must
- * rebuild the row-mass cache from the restored matrix so that a
- * restored instance makes bit-identical skip decisions to the
- * undisturbed one — at threshold 0 and at a paper-style positive
- * threshold.
+ * A dense, softmax-like write pattern: every slot receives a share of a
+ * gated write each step (all shares far above 1e-6), so every column is
+ * touched from the first step on and the sweeps take the full-column
+ * path.
  */
-TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
+Vector
+denseWritePattern(Rng &rng, Index n)
 {
-    const Index n = 32;
-    const Index heads = 2;
+    Vector w(n);
+    Real total = 0.0;
+    for (Index j = 0; j < n; ++j) {
+        w[j] = std::exp(rng.uniform(-3.0, 3.0));
+        total += w[j];
+    }
+    return scale(w, rng.uniform(0.5, 0.95) / total);
+}
+
+/**
+ * restoreState() must rebuild the row-mass cache from the restored
+ * matrix so that a restored instance makes bit-identical skip decisions
+ * to the undisturbed one — at threshold 0 and at a paper-style positive
+ * threshold. `writes(rng, step)` draws the write weighting of a step.
+ */
+template <typename WritePattern>
+void
+expectRestoreBitIdentical(Index n, Index heads, WritePattern writes)
+{
     for (Real threshold : {0.0, 1e-6}) {
+        SCOPED_TRACE(::testing::Message() << "threshold " << threshold);
         Rng rng(77);
         TemporalLinkage undisturbed(n, threshold);
         TemporalLinkage victim(n, threshold);
 
         std::vector<Vector> prevReads(heads), fU, bU, fV, bV;
         auto stepBoth = [&](int step) {
-            const Vector w = sparseWritePattern(rng, n, step);
+            const Vector w = writes(rng, step);
             for (auto &pr : prevReads) {
                 pr = rng.uniformVector(n);
                 pr = scale(pr, 1.0 / pr.sum());
@@ -398,8 +429,9 @@ TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
         for (int step = 20; step < 40; ++step) {
             stepBoth(step);
             ASSERT_TRUE(victim.linkage() == undisturbed.linkage())
-                << "threshold " << threshold << " step " << step;
-            ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass());
+                << "step " << step;
+            ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass())
+                << "step " << step;
             for (Index h = 0; h < heads; ++h) {
                 EXPECT_TRUE(fV[h] == fU[h]);
                 EXPECT_TRUE(bV[h] == bU[h]);
@@ -407,6 +439,73 @@ TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
         }
     }
 }
+
+/** Restore under sparse traffic: the sweeps refresh over touched columns. */
+TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
+{
+    expectRestoreBitIdentical(32, 2, [](Rng &rng, int step) {
+        return sparseWritePattern(rng, 32, step);
+    });
+}
+
+/**
+ * Restore under dense traffic: every column is touched, so the sweeps
+ * refresh row masses on the full-column path while the rebuild sums all
+ * N columns — the two must share one summation order. N = 37 is not a
+ * multiple of the 4-row block or the 8 mass lanes.
+ */
+TEST(SparseLinkage, RestoreRebuildsActivityBitIdenticalOnDenseTraffic)
+{
+    expectRestoreBitIdentical(37, 4, [](Rng &rng, int) {
+        return denseWritePattern(rng, 37);
+    });
+}
+
+/**
+ * The fused sweep against the standalone kernels on dense traffic: L,
+ * every head's forward/backward weightings and the row-mass cache agree
+ * bit for bit. The sizes cover full 4-row blocks, a short tail block and
+ * the last block's prefetch bound; 3 heads take the runtime-R fallback.
+ */
+class FusedVsStandalone
+    : public ::testing::TestWithParam<std::tuple<Index, Index>>
+{};
+
+TEST_P(FusedVsStandalone, BitIdenticalOnDenseTraffic)
+{
+    const auto [n, heads] = GetParam();
+    Rng rng(0x5eed + n * 8 + heads);
+    TemporalLinkage fused(n);
+    TemporalLinkage twin(n);
+
+    std::vector<Vector> prevReads(heads), fF, bF;
+    Vector f, b;
+    for (int step = 0; step < 24; ++step) {
+        const Vector w = denseWritePattern(rng, n);
+        for (auto &pr : prevReads) {
+            pr = rng.uniformVector(n);
+            pr = scale(pr, 1.0 / pr.sum());
+        }
+        fused.updateAndRead(w, prevReads, fF, bF, nullptr);
+        twin.updateLinkage(w);
+        ASSERT_TRUE(fused.linkage() == twin.linkage()) << "step " << step;
+        ASSERT_TRUE(fused.rowMass() == twin.rowMass()) << "step " << step;
+        for (Index h = 0; h < heads; ++h) {
+            twin.forwardWeightingInto(prevReads[h], f);
+            twin.backwardWeightingInto(prevReads[h], b);
+            EXPECT_TRUE(fF[h] == f) << "forward head " << h << " step " << step;
+            EXPECT_TRUE(bF[h] == b) << "backward head " << h << " step " << step;
+        }
+        fused.updatePrecedence(w);
+        twin.updatePrecedence(w);
+    }
+    EXPECT_EQ(fused.touchedSlots().size(), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndHeads, FusedVsStandalone,
+    ::testing::Combine(::testing::Values<Index>(5, 37, 130),
+                       ::testing::Values<Index>(1, 3, 4)));
 
 } // namespace
 } // namespace hima
