@@ -4,6 +4,10 @@
 #include <cmath>
 #include <numeric>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace hima {
 
 void
@@ -161,45 +165,173 @@ axpy(Real alpha, const Vector &x, Vector &y)
         py[i] += alpha * px[i];
 }
 
+namespace {
+
+/** Output rows per register tile of the mat-vec kernel. */
+constexpr Index kRowTile = 8;
+
+/**
+ * Eight output rows x one lane, at any lane stride: eight scalar
+ * c-ascending chains, each in its own register. The first `nr` sums
+ * are stored (or added to y) at y[i * stride].
+ *
+ * GCC would vectorize these in-order chains as fold-left reductions
+ * (vector multiplies, then one lane extract per in-order add), which
+ * measured ~20% slower than the scalar loop at the controller shapes,
+ * so loop vectorization is switched off for this function only.
+ */
+template <bool Accumulate>
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
+void
+tileOneLane(const Real *const *w, Index nr, Index cols, const Real *x,
+            Index stride, Real *y)
+{
+    const Real *w0 = w[0], *w1 = w[1], *w2 = w[2], *w3 = w[3];
+    const Real *w4 = w[4], *w5 = w[5], *w6 = w[6], *w7 = w[7];
+    Real a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    Real a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
+    for (Index c = 0; c < cols; ++c) {
+        const Real xv = x[c * stride];
+        a0 += w0[c] * xv;
+        a1 += w1[c] * xv;
+        a2 += w2[c] * xv;
+        a3 += w3[c] * xv;
+        a4 += w4[c] * xv;
+        a5 += w5[c] * xv;
+        a6 += w6[c] * xv;
+        a7 += w7[c] * xv;
+    }
+    const Real acc[kRowTile] = {a0, a1, a2, a3, a4, a5, a6, a7};
+    for (Index i = 0; i < nr; ++i) {
+        Real &out = y[i * stride];
+        out = Accumulate ? out + acc[i] : acc[i];
+    }
+}
+
+#if defined(__AVX2__)
+/**
+ * Eight output rows x up to four lanes: eight vector chains, one per
+ * row, each lane of a vector its own c-ascending chain. Multiply and
+ * add stay separate roundings (this file's hot-path flags carry
+ * -ffp-contract=off, so GCC never fuses them into an FMA), so every
+ * lane rounds exactly as tileOneLane does. `mask` selects the live lanes; masked-out lanes
+ * are neither loaded nor stored, so nothing outside the tile is read.
+ */
+template <bool Accumulate>
+void
+tileFourLanes(const Real *const *w, Index nr, Index cols, const Real *x,
+              Index stride, __m256i mask, Real *y)
+{
+    const Real *w0 = w[0], *w1 = w[1], *w2 = w[2], *w3 = w[3];
+    const Real *w4 = w[4], *w5 = w[5], *w6 = w[6], *w7 = w[7];
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    __m256d a4 = _mm256_setzero_pd(), a5 = _mm256_setzero_pd();
+    __m256d a6 = _mm256_setzero_pd(), a7 = _mm256_setzero_pd();
+    for (Index c = 0; c < cols; ++c) {
+        const __m256d xv = _mm256_maskload_pd(x + c * stride, mask);
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_set1_pd(w0[c]), xv));
+        a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_set1_pd(w1[c]), xv));
+        a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_set1_pd(w2[c]), xv));
+        a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_set1_pd(w3[c]), xv));
+        a4 = _mm256_add_pd(a4, _mm256_mul_pd(_mm256_set1_pd(w4[c]), xv));
+        a5 = _mm256_add_pd(a5, _mm256_mul_pd(_mm256_set1_pd(w5[c]), xv));
+        a6 = _mm256_add_pd(a6, _mm256_mul_pd(_mm256_set1_pd(w6[c]), xv));
+        a7 = _mm256_add_pd(a7, _mm256_mul_pd(_mm256_set1_pd(w7[c]), xv));
+    }
+    const __m256d acc[kRowTile] = {a0, a1, a2, a3, a4, a5, a6, a7};
+    for (Index i = 0; i < nr; ++i) {
+        Real *out = y + i * stride;
+        __m256d v = acc[i];
+        if (Accumulate)
+            v = _mm256_add_pd(_mm256_maskload_pd(out, mask), v);
+        _mm256_maskstore_pd(out, mask, v);
+    }
+}
+
+/** Load/store mask selecting the first min(n, 4) lanes of a chunk. */
+__m256i
+laneMask(Index n)
+{
+    const long long live = static_cast<long long>(std::min<Index>(n, 4));
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+}
+#endif
+
+/**
+ * The one mat-vec kernel behind every public entry point:
+ *   y[r * stride + b] (=|+=) sum_c M(r, c) * x[c * stride + b]
+ * for rows r in [row0, row1) and lanes b in [0, active). Rows go in
+ * tiles of kRowTile; with AVX2, two or more lanes go in chunks of
+ * kBatchLaneChunk, otherwise each lane runs tileOneLane. Every
+ * (row, lane) sum is one private c-ascending chain, completed before
+ * the single store or += into y, so the result is bit-identical to a
+ * naive per-row loop whatever the tiling. A row tile that runs past
+ * row1 points its spare slots at row1 - 1 and drops their sums.
+ */
+template <bool Accumulate>
+void
+matVecRows(const Matrix &m, Index row0, Index row1, const Real *x,
+           Index stride, Index active, Real *y)
+{
+    const Index cols = m.cols();
+    const Real *pm = m.data();
+    for (Index r = row0; r < row1; r += kRowTile) {
+        const Index nr = std::min(kRowTile, row1 - r);
+        const Real *w[kRowTile];
+        for (Index i = 0; i < kRowTile; ++i)
+            w[i] = pm + std::min(r + i, row1 - 1) * cols;
+        Real *yr = y + r * stride;
+#if defined(__AVX2__)
+        if (active > 1) {
+            for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk)
+                tileFourLanes<Accumulate>(w, nr, cols, x + b0, stride,
+                                          laneMask(active - b0), yr + b0);
+            continue;
+        }
+#endif
+        for (Index b = 0; b < active; ++b)
+            tileOneLane<Accumulate>(w, nr, cols, x + b, stride, yr + b);
+    }
+}
+
+/** Shape checks shared by every mat-vec entry point, then the kernel. */
+template <bool Accumulate>
+void
+batchedRows(const Matrix &m, Index row0, Index row1, const Vector &x,
+            Index stride, Index active, Vector &y, const char *op)
+{
+    HIMA_ASSERT(stride >= 1, "%s: zero lane stride", op);
+    HIMA_ASSERT(active >= 1 && active <= stride,
+                "%s: active lanes %zu outside [1, %zu]", op, active, stride);
+    HIMA_ASSERT(m.cols() * stride == x.size(),
+                "%s: cols %zu * stride %zu != x %zu", op, m.cols(), stride,
+                x.size());
+    HIMA_ASSERT(y.size() == m.rows() * stride,
+                "%s: y %zu != rows %zu * stride %zu", op, y.size(), m.rows(),
+                stride);
+    HIMA_ASSERT(row0 <= row1 && row1 <= m.rows(),
+                "%s: rows [%zu, %zu) outside %zu", op, row0, row1, m.rows());
+    matVecRows<Accumulate>(m, row0, row1, x.data(), stride, active,
+                           y.data());
+}
+
+} // namespace
+
 void
 matVecInto(const Matrix &m, const Vector &x, Vector &y)
 {
-    HIMA_ASSERT(m.cols() == x.size(), "matVecInto: cols %zu != x %zu",
-                m.cols(), x.size());
-    const Index rows = m.rows();
-    const Index cols = m.cols();
-    y.resize(rows);
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    Real *py = y.data();
-    for (Index r = 0; r < rows; ++r) {
-        const Real *row = pm + r * cols;
-        Real acc = 0.0;
-        for (Index c = 0; c < cols; ++c)
-            acc += row[c] * px[c];
-        py[r] = acc;
-    }
+    y.resize(m.rows());
+    batchedRows<false>(m, 0, m.rows(), x, 1, 1, y, "matVecInto");
 }
 
 void
 matVecAccumulate(const Matrix &m, const Vector &x, Vector &y)
 {
-    HIMA_ASSERT(m.cols() == x.size(), "matVecAccumulate: cols %zu != x %zu",
-                m.cols(), x.size());
-    HIMA_ASSERT(m.rows() == y.size(), "matVecAccumulate: rows %zu != y %zu",
-                m.rows(), y.size());
-    const Index rows = m.rows();
-    const Index cols = m.cols();
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    Real *py = y.data();
-    for (Index r = 0; r < rows; ++r) {
-        const Real *row = pm + r * cols;
-        Real acc = 0.0;
-        for (Index c = 0; c < cols; ++c)
-            acc += row[c] * px[c];
-        py[r] += acc;
-    }
+    batchedRows<true>(m, 0, m.rows(), x, 1, 1, y, "matVecAccumulate");
 }
 
 void
@@ -303,111 +435,52 @@ matMulInto(const Matrix &a, const Matrix &b, Matrix &out)
     }
 }
 
-namespace {
-
-/**
- * Shared body of the batched mat-vec kernels. Lanes are processed in
- * stack-resident chunks so every lane owns a private c-ascending
- * accumulator (the bit-exactness requirement) without any heap scratch;
- * the weight row is streamed once per chunk of up to kLaneChunk lanes.
- * Only the `active` leading columns of the stride-`stride` SoA tile are
- * swept — a partially occupied batch never pays flops for padding.
- */
-template <bool Accumulate>
-void
-batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
-                  Index active, Vector &y)
-{
-    HIMA_ASSERT(stride >= 1, "batchedMatVec: zero lane stride");
-    HIMA_ASSERT(active >= 1 && active <= stride,
-                "batchedMatVec: active lanes %zu outside [1, %zu]",
-                active, stride);
-    HIMA_ASSERT(m.cols() * stride == x.size(),
-                "batchedMatVec: cols %zu * stride %zu != x %zu",
-                m.cols(), stride, x.size());
-    const Index rows = m.rows();
-    const Index cols = m.cols();
-    if (Accumulate)
-        HIMA_ASSERT(y.size() == rows * stride,
-                    "batchedMatVecAccumulate: y %zu != rows %zu * stride %zu",
-                    y.size(), rows, stride);
-    else
-        y.resize(rows * stride);
-
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    Real *py = y.data();
-
-    // Single-lane degenerate case (contiguous operands): keep the
-    // accumulator in a register (the chunk array below defeats register
-    // allocation at nb == 1 and costs ~2x on the dot-product chain).
-    // Same c-ascending chain. Only valid at stride 1 — a lone active
-    // lane inside a wider tile still needs the strided walk below.
-    if (stride == 1) {
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
-            Real acc = 0.0;
-            for (Index c = 0; c < cols; ++c)
-                acc += row[c] * px[c];
-            if (Accumulate)
-                py[r] += acc;
-            else
-                py[r] = acc;
-        }
-        return;
-    }
-
-    Real acc[kBatchLaneChunk];
-    for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk) {
-        const Index nb = std::min(kBatchLaneChunk, active - b0);
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
-            for (Index b = 0; b < nb; ++b)
-                acc[b] = 0.0;
-            for (Index c = 0; c < cols; ++c) {
-                const Real w = row[c];
-                const Real *xl = px + c * stride + b0;
-                for (Index b = 0; b < nb; ++b)
-                    acc[b] += w * xl[b];
-            }
-            Real *yl = py + r * stride + b0;
-            for (Index b = 0; b < nb; ++b) {
-                if (Accumulate)
-                    yl[b] += acc[b];
-                else
-                    yl[b] = acc[b];
-            }
-        }
-    }
-}
-
-} // namespace
-
 void
 batchedMatVecInto(const Matrix &m, const Vector &x, Index laneStride,
                   Index activeLanes, Vector &y)
 {
-    batchedMatVecBody<false>(m, x, laneStride, activeLanes, y);
+    y.resize(m.rows() * laneStride);
+    batchedRows<false>(m, 0, m.rows(), x, laneStride, activeLanes, y,
+                       "batchedMatVecInto");
 }
 
 void
 batchedMatVecInto(const Matrix &m, const Vector &x, Index lanes, Vector &y)
 {
-    batchedMatVecBody<false>(m, x, lanes, lanes, y);
+    batchedMatVecInto(m, x, lanes, lanes, y);
 }
 
 void
 batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index laneStride,
                         Index activeLanes, Vector &y)
 {
-    batchedMatVecBody<true>(m, x, laneStride, activeLanes, y);
+    batchedRows<true>(m, 0, m.rows(), x, laneStride, activeLanes, y,
+                      "batchedMatVecAccumulate");
 }
 
 void
 batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
                         Vector &y)
 {
-    batchedMatVecBody<true>(m, x, lanes, lanes, y);
+    batchedMatVecAccumulate(m, x, lanes, lanes, y);
+}
+
+void
+batchedMatVecRowsInto(const Matrix &m, Index row0, Index row1,
+                      const Vector &x, Index laneStride, Index activeLanes,
+                      Vector &y)
+{
+    batchedRows<false>(m, row0, row1, x, laneStride, activeLanes, y,
+                       "batchedMatVecRowsInto");
+}
+
+void
+batchedMatVecRowsAccumulate(const Matrix &m, Index row0, Index row1,
+                            const Vector &x, Index laneStride,
+                            Index activeLanes, Vector &y)
+{
+    batchedRows<true>(m, row0, row1, x, laneStride, activeLanes, y,
+                      "batchedMatVecRowsAccumulate");
 }
 
 void

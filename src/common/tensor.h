@@ -202,9 +202,18 @@ void addInPlace(Vector &a, const Vector &b);
 void scaleInPlace(Vector &a, Real s);
 /** y += alpha * x (BLAS axpy). */
 void axpy(Real alpha, const Vector &x, Vector &y);
-/** y = M x; y must not alias x. */
+/**
+ * y = M x; y must not alias x. Like every mat-vec entry point here it
+ * runs on one register-tiled kernel (8 output rows per pass, see
+ * batchedMatVecRowsInto) in which each row keeps its own c-ascending
+ * chain: y[r] = ((0 + M(r,0) x[0]) + M(r,1) x[1]) + ..., multiply and
+ * add rounded separately.
+ */
 void matVecInto(const Matrix &m, const Vector &x, Vector &y);
-/** y += M x; y must not alias x. */
+/**
+ * y += M x; y must not alias x. The row sum is completed in its own
+ * chain (as matVecInto) before the single += into y.
+ */
 void matVecAccumulate(const Matrix &m, const Vector &x, Vector &y);
 /** y = M^T x; y must not alias x. */
 void matTVecInto(const Matrix &m, const Vector &x, Vector &y);
@@ -243,17 +252,24 @@ void matMulInto(const Matrix &a, const Matrix &b, Matrix &out);
 // (m, x, lanes, y) convenience forms below are the fully-occupied case
 // (activeLanes == laneStride).
 //
+// All mat-vecs, single-lane and batched, share one kernel: each pass
+// computes 8 output rows x up to kBatchLaneChunk lanes, every
+// (row, lane) chain in its own register. With AVX2 a lane chunk is one
+// 256-bit vector (a masked load/store covers a 1-3 lane tail, so
+// nothing past activeLanes is touched); a lone active lane, and every
+// lane of a build without AVX2, runs eight scalar chains at any stride.
+//
 // laneBroadcastAdd/laneAxpy have no engine callers yet (BatchedDnc
 // fuses its bias adds); they complete the kernel API for batched heads
 // with biases and are pinned by the same per-lane unit tests.
 // ---------------------------------------------------------------------
 
 /**
- * Lanes per stack-resident accumulator chunk in every batched sweep —
- * shared by the kernels here and the row-blocked sweeps in src/serve so
- * the chunk boundary the bit-exactness tests cross is one constant.
+ * Lanes per register chunk of the batched mat-vec kernel: four doubles
+ * fill one AVX2 vector. The bit-exactness tests pick batch sizes that
+ * cross this boundary with a partial tail chunk.
  */
-inline constexpr Index kBatchLaneChunk = 64;
+inline constexpr Index kBatchLaneChunk = 4;
 
 /**
  * Batched y = M x over lane-interleaved operands:
@@ -283,6 +299,21 @@ void batchedMatVecAccumulate(const Matrix &m, const Vector &x,
 /** Fully-occupied convenience form: activeLanes == laneStride. */
 void batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
                              Vector &y);
+
+/**
+ * Row-range batched y = M x: batchedMatVecInto restricted to output
+ * rows [row0, row1). y must already hold rows(M) * laneStride values;
+ * rows outside the range and inactive columns are untouched. Pool
+ * tasks that own disjoint row blocks of one product call this.
+ */
+void batchedMatVecRowsInto(const Matrix &m, Index row0, Index row1,
+                           const Vector &x, Index laneStride,
+                           Index activeLanes, Vector &y);
+
+/** Row-range batched y += M x (batchedMatVecAccumulate on [row0, row1)). */
+void batchedMatVecRowsAccumulate(const Matrix &m, Index row0, Index row1,
+                                 const Vector &x, Index laneStride,
+                                 Index activeLanes, Vector &y);
 
 /**
  * Broadcast-add a per-row bias across the active lanes:

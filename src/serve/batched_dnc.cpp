@@ -10,24 +10,17 @@ namespace hima {
 
 namespace {
 
-/** Rows per pool task in the controller sweeps. */
+/**
+ * Rows per pool task in the controller sweeps: a multiple of the
+ * mat-vec kernel's 8-row register tile, so only a matrix's last block
+ * runs a partial tile.
+ */
 constexpr Index kRowBlock = 32;
-
 
 Index
 blockCount(Index rows)
 {
     return (rows + kRowBlock - 1) / kRowBlock;
-}
-
-/** Register-resident c-ascending dot product (the matVecInto chain). */
-inline Real
-dotContiguous(const Real *w, const Real *x, Index n)
-{
-    Real acc = 0.0;
-    for (Index k = 0; k < n; ++k)
-        acc += w[k] * x[k];
-    return acc;
 }
 
 } // namespace
@@ -99,7 +92,10 @@ BatchedDnc::BatchedDnc(const DncConfig &config, std::uint64_t seed)
     };
     ifaceTask_ = [this](Index blk) {
         const Index row0 = blk * kRowBlock;
-        ifaceRows(row0, std::min(row0 + kRowBlock, config_.interfaceSize()));
+        batchedMatVecRowsInto(
+            proto_.interfaceHead(), row0,
+            std::min(row0 + kRowBlock, config_.interfaceSize()), hidden_,
+            batch_, active_, rawIface_);
     };
     laneTask_ = [this](Index column) { columnStep(column); };
 }
@@ -245,119 +241,40 @@ BatchedDnc::lstmRows(Index row0, Index row1)
 {
     const Index active = active_;
     const Index stride = batch_;
-    const Index h = config_.controllerSize;
     const LstmCell &lstm = proto_.lstm();
 
-    const Real *pf = feed_.data();
-    const Real *php = hiddenPrev_.data();
-    Real *ph = hidden_.data();
+    // Gate pre-activations: per lane, the LstmCell::step chain — Wx x
+    // complete, then + Wh h complete; the bias joins in the cell loop,
+    // giving (Wx x + Wh h) + b.
+    for (int g = 0; g < 4; ++g) {
+        batchedMatVecRowsInto(lstm.inputWeights(g), row0, row1, feed_,
+                              stride, active, gatePre_[g]);
+        batchedMatVecRowsAccumulate(lstm.recurrentWeights(g), row0, row1,
+                                    hiddenPrev_, stride, active,
+                                    gatePre_[g]);
+    }
+
+    // Cell/hidden update, scalar-for-scalar LstmCell::step.
     Real *pc = cell_.data();
-
-    // Single-slot engines degenerate to contiguous dot products; keep
-    // the accumulators in registers (identical chains, ~2x faster). Only
-    // valid at stride 1 — a lone active lane in a wider tile is strided.
-    if (stride == 1) {
-        for (Index j = row0; j < row1; ++j) {
-            for (int g = 0; g < 4; ++g) {
-                const Real accx = dotContiguous(
-                    lstm.inputWeights(g).rowPtr(j), pf, feedWidth_);
-                const Real acch = dotContiguous(
-                    lstm.recurrentWeights(g).rowPtr(j), php, h);
-                gatePre_[g][j] = (accx + acch) + lstm.gateBias(g)[j];
-            }
-            const Real i = sigmoid(gatePre_[0][j]);
-            const Real f = sigmoid(gatePre_[1][j]);
-            const Real cand = std::tanh(gatePre_[2][j]);
-            const Real o = sigmoid(gatePre_[3][j]);
-            pc[j] = f * pc[j] + i * cand;
-            ph[j] = o * std::tanh(pc[j]);
-        }
-        return;
-    }
-
-    Real accx[kBatchLaneChunk];
-    Real acch[kBatchLaneChunk];
-    for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk) {
-        const Index nb = std::min(kBatchLaneChunk, active - b0);
-        for (Index j = row0; j < row1; ++j) {
-            // Gate pre-activations: per lane, the exact LstmCell::step
-            // chain (Wx x complete, then + Wh h complete, then + bias).
-            for (int g = 0; g < 4; ++g) {
-                const Real *wx = lstm.inputWeights(g).rowPtr(j);
-                const Real *wh = lstm.recurrentWeights(g).rowPtr(j);
-                const Real bias = lstm.gateBias(g)[j];
-                for (Index b = 0; b < nb; ++b) {
-                    accx[b] = 0.0;
-                    acch[b] = 0.0;
-                }
-                for (Index k = 0; k < feedWidth_; ++k) {
-                    const Real wv = wx[k];
-                    const Real *xl = pf + k * stride + b0;
-                    for (Index b = 0; b < nb; ++b)
-                        accx[b] += wv * xl[b];
-                }
-                for (Index k = 0; k < h; ++k) {
-                    const Real wv = wh[k];
-                    const Real *hl = php + k * stride + b0;
-                    for (Index b = 0; b < nb; ++b)
-                        acch[b] += wv * hl[b];
-                }
-                Real *gp = gatePre_[g].data() + j * stride + b0;
-                for (Index b = 0; b < nb; ++b)
-                    gp[b] = (accx[b] + acch[b]) + bias;
-            }
-
-            // Cell/hidden update, scalar-for-scalar LstmCell::step.
-            const Real *gi = gatePre_[0].data() + j * stride + b0;
-            const Real *gf = gatePre_[1].data() + j * stride + b0;
-            const Real *gc = gatePre_[2].data() + j * stride + b0;
-            const Real *go = gatePre_[3].data() + j * stride + b0;
-            Real *cl = pc + j * stride + b0;
-            Real *hl = ph + j * stride + b0;
-            for (Index b = 0; b < nb; ++b) {
-                const Real i = sigmoid(gi[b]);
-                const Real f = sigmoid(gf[b]);
-                const Real cand = std::tanh(gc[b]);
-                const Real o = sigmoid(go[b]);
-                cl[b] = f * cl[b] + i * cand;
-                hl[b] = o * std::tanh(cl[b]);
-            }
-        }
-    }
-}
-
-void
-BatchedDnc::ifaceRows(Index row0, Index row1)
-{
-    const Index active = active_;
-    const Index stride = batch_;
-    const Index h = config_.controllerSize;
-    const Matrix &head = proto_.interfaceHead();
-    const Real *ph = hidden_.data();
-    Real *py = rawIface_.data();
-
-    if (stride == 1) {
-        for (Index q = row0; q < row1; ++q)
-            py[q] = dotContiguous(head.rowPtr(q), ph, h);
-        return;
-    }
-
-    Real acc[kBatchLaneChunk];
-    for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk) {
-        const Index nb = std::min(kBatchLaneChunk, active - b0);
-        for (Index q = row0; q < row1; ++q) {
-            const Real *row = head.rowPtr(q);
-            for (Index b = 0; b < nb; ++b)
-                acc[b] = 0.0;
-            for (Index k = 0; k < h; ++k) {
-                const Real wv = row[k];
-                const Real *hl = ph + k * stride + b0;
-                for (Index b = 0; b < nb; ++b)
-                    acc[b] += wv * hl[b];
-            }
-            Real *yl = py + q * stride + b0;
-            for (Index b = 0; b < nb; ++b)
-                yl[b] = acc[b];
+    Real *ph = hidden_.data();
+    for (Index j = row0; j < row1; ++j) {
+        const Real bi = lstm.gateBias(0)[j];
+        const Real bf = lstm.gateBias(1)[j];
+        const Real bc = lstm.gateBias(2)[j];
+        const Real bo = lstm.gateBias(3)[j];
+        const Real *gi = gatePre_[0].data() + j * stride;
+        const Real *gf = gatePre_[1].data() + j * stride;
+        const Real *gc = gatePre_[2].data() + j * stride;
+        const Real *go = gatePre_[3].data() + j * stride;
+        Real *cl = pc + j * stride;
+        Real *hl = ph + j * stride;
+        for (Index b = 0; b < active; ++b) {
+            const Real i = sigmoid(gi[b] + bi);
+            const Real f = sigmoid(gf[b] + bf);
+            const Real cand = std::tanh(gc[b] + bc);
+            const Real o = sigmoid(go[b] + bo);
+            cl[b] = f * cl[b] + i * cand;
+            hl[b] = o * std::tanh(cl[b]);
         }
     }
 }

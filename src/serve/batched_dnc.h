@@ -187,19 +187,16 @@ class BatchedDnc final : public LaneEngine
     }
 
   private:
-    // The output head uses the public batched kernels directly
-    // (batchedMatVecInto / batchedMatVecAccumulate); the LSTM and
-    // interface sweeps below are row-range versions of the same chunked
-    // per-lane-accumulator scheme — they can't call the whole-matrix
-    // kernels because pool tasks own row blocks and the LSTM fuses four
-    // gates plus the cell update into one pass. Their per-lane chains
-    // are pinned to the reference order by tests/test_batched_dnc.cpp.
+    // Every controller product runs on the one mat-vec kernel of
+    // common/tensor.h: the output head on the whole-matrix batched forms,
+    // the LSTM gates and the interface head on its row-range forms,
+    // because pool tasks own row blocks and the LSTM fuses the cell
+    // update into the same pass. The per-lane chains are pinned to the
+    // reference order by tests/test_tensor_inplace.cpp's oracle and
+    // tests/test_batched_dnc.cpp's golden grids.
 
     /** Batched LSTM recurrence for rows [row0, row1), active columns. */
     void lstmRows(Index row0, Index row1);
-
-    /** Batched interface-head projection for rows [row0, row1). */
-    void ifaceRows(Index row0, Index row1);
 
     /** Decode + memory-unit step + reads scatter for one active column. */
     void columnStep(Index column);
@@ -249,7 +246,7 @@ class BatchedDnc final : public LaneEngine
     Vector hidden_;    ///< LSTM hidden state, H x B
     Vector hiddenPrev_; ///< pre-step hidden snapshot (recurrence input)
     Vector cell_;      ///< LSTM cell state, H x B
-    Vector gatePre_[4]; ///< gate pre-activations, H x B each
+    Vector gatePre_[4]; ///< gate sums Wx x + Wh h (no bias), H x B each
     Vector rawIface_;  ///< interface emission, interfaceSize x B
     Vector readsFlat_; ///< concatenated read vectors, (R*W) x B
     Vector outSoA_;    ///< model outputs, outputSize x B

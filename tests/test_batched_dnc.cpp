@@ -105,15 +105,18 @@ TEST(BatchedDnc, LinkageSkipChurnStaysBitIdentical)
 
 TEST(BatchedDnc, BeyondOneLaneChunkStaysBitIdentical)
 {
-    // B=70 crosses the kBatchLaneChunk=64 boundary of the SoA sweeps:
-    // lanes 64..69 run through the second accumulator chunk (b0 > 0),
-    // which no B <= 64 case ever touches.
-    static_assert(kBatchLaneChunk == 64, "revisit the batch size below");
+    // The controller sweeps take lanes in register chunks of
+    // kBatchLaneChunk=4. B=7 is one full chunk plus a 3-lane masked
+    // tail; B=70 is seventeen full chunks plus a 2-lane tail, so lanes
+    // at b0 > 0 and both tail widths are checked against Dnc.
+    static_assert(kBatchLaneChunk == 4, "revisit the batch sizes below");
     DncConfig cfg = tinyConfig();
     cfg.memoryRows = 16;
     cfg.controllerSize = 12;
-    golden::runLockstep(cfg, 70, 2, 3, /*weightSeed=*/19, /*inputSeed=*/23,
-                        /*stateEvery=*/0); // outputs every step, state last
+    for (Index batch : {Index(7), Index(70)})
+        golden::runLockstep(cfg, batch, 2, 3, /*weightSeed=*/19,
+                            /*inputSeed=*/23,
+                            /*stateEvery=*/0); // outputs every step, state last
 }
 
 TEST(BatchedDnc, LargerShapesSpotCheck)

@@ -77,14 +77,17 @@ TEST(LaneChurn, WriteSkipThresholdStaysBitIdentical)
 
 TEST(LaneChurn, CrossesTheLaneChunkBoundary)
 {
-    // Capacity 70 with churn sweeps active prefixes on both sides of
-    // the kBatchLaneChunk=64 accumulator boundary.
-    static_assert(kBatchLaneChunk == 64, "revisit the capacity below");
+    // Churn moves the active prefix across the kBatchLaneChunk=4
+    // register-chunk boundary: capacity 7 visits every tail width
+    // (1-3 masked lanes) and the one-lane scalar path; capacity 70
+    // adds prefixes many chunks deep.
+    static_assert(kBatchLaneChunk == 4, "revisit the capacities below");
     DncConfig cfg = tinyConfig();
     cfg.memoryRows = 16;
     cfg.controllerSize = 12;
-    golden::runChurnLockstep(cfg, 70, 2, 6, /*weightSeed=*/19,
-                             /*churnSeed=*/23, /*inputSeed=*/29);
+    for (Index capacity : {Index(7), Index(70)})
+        golden::runChurnLockstep(cfg, capacity, 2, 6, /*weightSeed=*/19,
+                                 /*churnSeed=*/23, /*inputSeed=*/29);
 }
 
 // --------------------------------------------------------------------

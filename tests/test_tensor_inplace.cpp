@@ -238,8 +238,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InplaceKernels, ::testing::Range(0, 8));
 
 // --------------------------------------------------------------------
 // Batched (struct-of-arrays) kernels: per-lane results must equal the
-// single-lane kernels bit-for-bit, including across the 64-lane chunk
-// boundary of the stack accumulators.
+// single-lane kernels bit-for-bit, including across the 4-lane register
+// chunks of the mat-vec kernel.
 // --------------------------------------------------------------------
 
 class BatchedKernels : public ::testing::TestWithParam<int>
@@ -252,7 +252,7 @@ TEST_P(BatchedKernels, MatVecMatchesPerLane)
 {
     const Index rows = 1 + rng_.uniformInt(12);
     const Index cols = 1 + rng_.uniformInt(12);
-    const Index lanes = 1 + rng_.uniformInt(90); // crosses the 64 chunk
+    const Index lanes = 1 + rng_.uniformInt(90); // many 4-lane chunks
     const Matrix m = rng_.normalMatrix(rows, cols);
 
     std::vector<Vector> xs;
@@ -336,7 +336,7 @@ TEST_P(BatchedKernels, PartialOccupancyMatchesPerLane)
     // single-lane kernels bit-for-bit and leave the stale columns alone.
     const Index rows = 1 + rng_.uniformInt(10);
     const Index cols = 1 + rng_.uniformInt(10);
-    const Index stride = 2 + rng_.uniformInt(80); // may cross the chunk
+    const Index stride = 2 + rng_.uniformInt(80); // any chunk tail
     const Index active = 1 + rng_.uniformInt(stride);
     const Matrix m = rng_.normalMatrix(rows, cols);
 
@@ -419,6 +419,117 @@ TEST_P(BatchedKernels, ScatterRowOffsetPlacesSegments)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedKernels, ::testing::Range(0, 8));
+
+// --------------------------------------------------------------------
+// Independent mat-vec oracle. The tests above compare one mat-vec entry
+// point with another, and every entry point runs the same tiled kernel,
+// so a reordered accumulation chain would pass them all. The oracle
+// below is a naive double loop — one c-ascending chain per (row, lane),
+// multiply then add — compared with exact equality. The grid crosses
+// the kernel's 8-row tile with every row tail and its 4-lane register
+// chunk with every lane tail, inside a wider lane stride.
+// --------------------------------------------------------------------
+
+namespace {
+
+/** sum_c M(r, c) * x[c * stride + lane], accumulated c-ascending. */
+Real
+oracleRowSum(const Matrix &m, Index r, const Vector &x, Index stride,
+             Index lane)
+{
+    Real acc = 0.0;
+    for (Index c = 0; c < m.cols(); ++c)
+        acc += m(r, c) * x[c * stride + lane];
+    return acc;
+}
+
+} // namespace
+
+TEST(MatVecOracle, SingleLaneFormsMatchNaiveLoop)
+{
+    Rng rng(2718);
+    for (Index rows = 1; rows <= 19; ++rows) {
+        for (Index cols = 1; cols <= 40; ++cols) {
+            const Matrix m = rng.normalMatrix(rows, cols);
+            const Vector x = rng.normalVector(cols);
+            const Vector y0 = rng.normalVector(rows);
+            Vector into;
+            matVecInto(m, x, into);
+            Vector acc = y0;
+            matVecAccumulate(m, x, acc);
+            ASSERT_EQ(into.size(), rows);
+            for (Index r = 0; r < rows; ++r) {
+                const Real want = oracleRowSum(m, r, x, 1, 0);
+                ASSERT_EQ(into[r], want)
+                    << rows << "x" << cols << " row " << r;
+                ASSERT_EQ(acc[r], y0[r] + want)
+                    << rows << "x" << cols << " row " << r;
+            }
+        }
+    }
+}
+
+TEST(MatVecOracle, BatchedFormsMatchNaiveLoop)
+{
+    Rng rng(31415);
+    for (Index rows = 1; rows <= 19; ++rows) {
+        for (Index cols = 1; cols <= 40; ++cols) {
+            // A row range starting past row 0 whose length sweeps full
+            // tiles plus every tail as cols varies.
+            const Index row0 = std::min<Index>(1 + cols % 3, rows - 1);
+            const Index row1 = std::max(row0 + 1, rows - cols % 2);
+            for (Index active = 1; active <= 9; ++active) {
+                const Index stride = active + cols % 3;
+                const Matrix m = rng.normalMatrix(rows, cols);
+                const Vector x = rng.normalVector(cols * stride);
+                const Vector y0 = rng.normalVector(rows * stride);
+
+                Vector into = y0;
+                batchedMatVecInto(m, x, stride, active, into);
+                Vector acc = y0;
+                batchedMatVecAccumulate(m, x, stride, active, acc);
+                Vector rowsInto = y0;
+                batchedMatVecRowsInto(m, row0, row1, x, stride, active,
+                                      rowsInto);
+                Vector rowsAcc = y0;
+                batchedMatVecRowsAccumulate(m, row0, row1, x, stride,
+                                            active, rowsAcc);
+                if (stride == active) {
+                    Vector full = y0;
+                    batchedMatVecInto(m, x, stride, full);
+                    ASSERT_EQ(full, into);
+                    full = y0;
+                    batchedMatVecAccumulate(m, x, stride, full);
+                    ASSERT_EQ(full, acc);
+                }
+
+                for (Index r = 0; r < rows; ++r) {
+                    for (Index b = 0; b < stride; ++b) {
+                        const Index k = r * stride + b;
+                        const bool live = b < active;
+                        const bool ranged = live && r >= row0 && r < row1;
+                        const Real want =
+                            live ? oracleRowSum(m, r, x, stride, b) : 0.0;
+                        // Streamed only when an assertion fails.
+                        const auto where = [&] {
+                            return ::testing::Message()
+                                   << rows << "x" << cols << " active "
+                                   << active << " stride " << stride
+                                   << " row " << r << " lane " << b;
+                        };
+                        ASSERT_EQ(into[k], live ? want : y0[k]) << where();
+                        ASSERT_EQ(acc[k], live ? y0[k] + want : y0[k])
+                            << where();
+                        ASSERT_EQ(rowsInto[k], ranged ? want : y0[k])
+                            << where();
+                        ASSERT_EQ(rowsAcc[k], ranged ? y0[k] + want : y0[k])
+                            << where();
+                    }
+                }
+            }
+        }
+    }
+}
 
 // --------------------------------------------------------------------
 // Memory-unit helpers shared by the cache / allocation / DNC-D tests.
