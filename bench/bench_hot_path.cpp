@@ -1,27 +1,28 @@
 /**
  * @file
  * Hot-path throughput benchmark: wall-clock timesteps/sec of the DNC
- * memory unit, comparing the pre-refactor ("legacy") kernels against
- * the allocation-free destination-passing path, plus DNC-D tile
- * scaling on the thread pool. Emits BENCH_hot_path.json so the perf
- * trajectory is tracked across PRs.
+ * memory unit, comparing the dense oracle (tests/dense_oracle.h, the
+ * seed implementation's kernels) against the allocation-free,
+ * active-set sparse MemoryUnit, plus DNC-D tile scaling on the thread
+ * pool. Emits BENCH_hot_path.json so the perf trajectory is tracked
+ * across PRs.
  *
- * The legacy path is a faithful replica of the seed implementation:
- * bounds-checked element accessors, value-returning kernels that
- * allocate every temporary, and per-head O(N*W) row-norm recomputes in
- * content addressing. Both paths implement identical math — the bench
- * cross-checks them bit-for-bit before timing, and likewise gates the
- * active-row sparse linkage sweep against a forced-dense sweep before
- * timing the linkageSkipThreshold sections.
+ * The oracle sweeps every row with bounds-checked element accessors,
+ * value-returning kernels that allocate every temporary, and per-head
+ * O(N*W) row-norm recomputes in content addressing. Both implement
+ * identical math: the bench gates the MemoryUnit against the oracle
+ * bit for bit before timing anything, and the sparsity sweeps time the
+ * oracle as their dense baseline.
  *
- * `--smoke` runs both cross-check gates plus a reduced grid (small N,
- * short sweeps) — the sanitizer CI job's configuration.
+ * `--smoke` runs the gate plus a reduced grid (small N, short sweeps)
+ * — the sanitizer CI job's configuration.
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,179 +35,10 @@
 #include "workload/retrieval.h"
 #include "workload/task_suite.h"
 
+#include "../tests/dense_oracle.h"
+
 namespace hima {
 namespace {
-
-// --------------------------------------------------------------------
-// Legacy replica of the seed memory unit (pre-refactor kernels).
-// --------------------------------------------------------------------
-namespace legacy {
-
-Vector
-matVec(const Matrix &m, const Vector &x)
-{
-    Vector y(m.rows());
-    for (Index r = 0; r < m.rows(); ++r) {
-        Real acc = 0.0;
-        for (Index c = 0; c < m.cols(); ++c)
-            acc += m(r, c) * x[c];
-        y[r] = acc;
-    }
-    return y;
-}
-
-Vector
-matTVec(const Matrix &m, const Vector &x)
-{
-    Vector y(m.cols());
-    for (Index r = 0; r < m.rows(); ++r) {
-        const Real xv = x[r];
-        for (Index c = 0; c < m.cols(); ++c)
-            y[c] += m(r, c) * xv;
-    }
-    return y;
-}
-
-Vector
-contentWeighting(const Matrix &memory, const Vector &key, Real strength)
-{
-    const Index n = memory.rows();
-    const Index w = memory.cols();
-    Vector rowNorms(n);
-    for (Index i = 0; i < n; ++i) {
-        Real acc = 0.0;
-        for (Index c = 0; c < w; ++c) {
-            const Real v = memory(i, c);
-            acc += v * v;
-        }
-        rowNorms[i] = std::sqrt(acc);
-    }
-    const Real keyNorm = key.norm();
-    constexpr Real eps = 1e-6;
-    Vector scores(n);
-    for (Index i = 0; i < n; ++i) {
-        Real acc = 0.0;
-        for (Index c = 0; c < w; ++c)
-            acc += memory(i, c) * key[c];
-        scores[i] = strength * acc / (rowNorms[i] * keyNorm + eps);
-    }
-    return softmax(scores);
-}
-
-/** The seed MemoryUnit dataflow, allocation-per-kernel. */
-struct MemoryUnitSim
-{
-    explicit MemoryUnitSim(const DncConfig &config)
-        : cfg(config), memory(cfg.memoryRows, cfg.memoryWidth),
-          usage(cfg.memoryRows), linkage(cfg.memoryRows, cfg.memoryRows),
-          precedence(cfg.memoryRows), writeWeighting(cfg.memoryRows),
-          readWeightings(cfg.readHeads, Vector(cfg.memoryRows))
-    {}
-
-    MemoryReadout
-    step(const InterfaceVector &iface)
-    {
-        const Index n = cfg.memoryRows;
-        const Index w = cfg.memoryWidth;
-
-        // CW: content write weighting (norms recomputed from scratch).
-        const Vector contentW =
-            contentWeighting(memory, iface.writeKey, iface.writeStrength);
-
-        // HW: retention, usage, sort, allocation.
-        Vector psi(n, 1.0);
-        for (Index r = 0; r < readWeightings.size(); ++r) {
-            const Real gate = iface.freeGates[r];
-            for (Index i = 0; i < n; ++i)
-                psi[i] *= 1.0 - gate * readWeightings[r][i];
-        }
-        Vector newUsage(n);
-        for (Index i = 0; i < n; ++i) {
-            const Real u = usage[i];
-            const Real wv = writeWeighting[i];
-            newUsage[i] = (u + wv - u * wv) * psi[i];
-        }
-        usage = newUsage;
-
-        std::vector<SortRecord> records;
-        records.reserve(n);
-        for (Index i = 0; i < n; ++i)
-            records.push_back({usage[i], i});
-        const SortResult sorted =
-            referenceUsageSort(records, SortOrder::Ascending);
-        Vector alloc(n, 0.0);
-        Real runningProduct = 1.0;
-        for (const SortRecord &rec : sorted.records) {
-            alloc[rec.idx] = (1.0 - rec.key) * runningProduct;
-            runningProduct *= rec.key;
-        }
-
-        // WM: gate merge.
-        Vector ww(n);
-        const Real ga = iface.allocationGate;
-        const Real gw = iface.writeGate;
-        for (Index i = 0; i < n; ++i)
-            ww[i] = gw * (ga * alloc[i] + (1.0 - ga) * contentW[i]);
-
-        // MW: erase + add, row at a time.
-        for (Index i = 0; i < n; ++i) {
-            const Real wi = ww[i];
-            if (wi == 0.0)
-                continue;
-            for (Index c = 0; c < w; ++c)
-                memory(i, c) = memory(i, c) * (1.0 - wi * iface.eraseVector[c])
-                             + wi * iface.writeVector[c];
-        }
-
-        // HR.(1)-(2): linkage then precedence.
-        for (Index i = 0; i < n; ++i) {
-            const Real wi = ww[i];
-            for (Index j = 0; j < n; ++j) {
-                if (i == j) {
-                    linkage(i, j) = 0.0;
-                    continue;
-                }
-                linkage(i, j) = (1.0 - wi - ww[j]) * linkage(i, j)
-                              + wi * precedence[j];
-            }
-        }
-        const Real keep = 1.0 - ww.sum();
-        for (Index i = 0; i < n; ++i)
-            precedence[i] = keep * precedence[i] + ww[i];
-        writeWeighting = ww;
-
-        MemoryReadout out;
-        out.writeWeighting = ww;
-        for (Index head = 0; head < cfg.readHeads; ++head) {
-            const Vector fwd = legacy::matVec(linkage, readWeightings[head]);
-            const Vector bwd = legacy::matTVec(linkage, readWeightings[head]);
-            const Vector content = contentWeighting(
-                memory, iface.readKeys[head], iface.readStrengths[head]);
-            Vector weighting(n);
-            const ReadMode &mode = iface.readModes[head];
-            for (Index i = 0; i < n; ++i) {
-                weighting[i] = mode.backward * bwd[i]
-                             + mode.content * content[i]
-                             + mode.forward * fwd[i];
-            }
-            Vector readVector = legacy::matTVec(memory, weighting);
-            readWeightings[head] = weighting;
-            out.readWeightings.push_back(std::move(weighting));
-            out.readVectors.push_back(std::move(readVector));
-        }
-        return out;
-    }
-
-    DncConfig cfg;
-    Matrix memory;
-    Vector usage;
-    Matrix linkage;
-    Vector precedence;
-    Vector writeWeighting;
-    std::vector<Vector> readWeightings;
-};
-
-} // namespace legacy
 
 // --------------------------------------------------------------------
 // Harness.
@@ -241,53 +73,26 @@ benchIface(const DncConfig &cfg, Rng &rng)
     return iface;
 }
 
-/** Bit-exact cross-check of the legacy replica vs the optimized path. */
-bool
-crossCheck()
-{
-    const DncConfig cfg = benchConfig(256);
-    legacy::MemoryUnitSim legacySim(cfg);
-    MemoryUnit optimized(cfg);
-    MemoryReadout optOut;
-    Rng rng(42);
-    for (int step = 0; step < 4; ++step) {
-        const InterfaceVector iface = benchIface(cfg, rng);
-        const MemoryReadout a = legacySim.step(iface);
-        optimized.stepInto(iface, optOut);
-        for (Index h = 0; h < cfg.readHeads; ++h) {
-            if (!(a.readVectors[h] == optOut.readVectors[h]) ||
-                !(a.readWeightings[h] == optOut.readWeightings[h]))
-                return false;
-        }
-        if (!(a.writeWeighting == optOut.writeWeighting))
-            return false;
-    }
-    return true;
-}
-
 /**
- * Bit-exact cross-check of the active-row sparse linkage sweep at
- * threshold 0 against a forced dense sweep, over both regimes: the
- * early-episode allocation traffic the sparse path is built for (one-
- * hot writes, most rows never touched) and mixed soft traffic with
- * episode resets. Compares readouts and the full linkage state every
- * step; the bench refuses to time if a single bit differs.
+ * Bit-exact gate of the MemoryUnit against the dense oracle over both
+ * regimes: the early-episode allocation traffic the sparse paths are
+ * built for (one-hot writes, most rows never touched) and mixed soft
+ * traffic, with an episode reset (and a fresh oracle) every 40 steps.
+ * Compares readouts and the full recurrent state every step; the bench
+ * refuses to time if a single bit differs.
  */
 bool
-sparseDenseGate()
+oracleGate()
 {
-    const DncConfig sparseCfg = benchConfig(256);
-    DncConfig denseCfg = sparseCfg;
-    denseCfg.linkageDenseSweep = true;
-    MemoryUnit sparse(sparseCfg);
-    MemoryUnit dense(denseCfg);
-    MemoryReadout a, b;
+    const DncConfig cfg = benchConfig(256);
+    MemoryUnit unit(cfg);
+    MemoryReadout out;
     Rng rng(99);
     for (int episode = 0; episode < 3; ++episode) {
-        sparse.reset();
-        dense.reset();
+        unit.reset();
+        oracle::MemoryUnitSim ref(cfg);
         for (int t = 0; t < 40; ++t) {
-            InterfaceVector iface = benchIface(sparseCfg, rng);
+            InterfaceVector iface = benchIface(cfg, rng);
             if (episode == 0) {
                 // Early-episode regime: pure allocation-gated writes.
                 iface.allocationGate = 1.0;
@@ -296,18 +101,18 @@ sparseDenseGate()
                 iface.allocationGate = rng.uniform();
                 iface.writeGate = rng.uniform(0.3, 1.0);
             }
-            sparse.stepInto(iface, a);
-            dense.stepInto(iface, b);
-            for (Index h = 0; h < sparseCfg.readHeads; ++h) {
-                if (!(a.readVectors[h] == b.readVectors[h]) ||
-                    !(a.readWeightings[h] == b.readWeightings[h]))
+            const MemoryReadout expect = ref.step(iface);
+            unit.stepInto(iface, out);
+            for (Index h = 0; h < cfg.readHeads; ++h) {
+                if (!(expect.readVectors[h] == out.readVectors[h]) ||
+                    !(expect.readWeightings[h] == out.readWeightings[h]))
                     return false;
             }
-            if (!(a.writeWeighting == b.writeWeighting))
-                return false;
-            if (!(sparse.linkage().linkage() == dense.linkage().linkage()) ||
-                !(sparse.linkage().precedence() ==
-                  dense.linkage().precedence()))
+            if (!(expect.writeWeighting == out.writeWeighting) ||
+                !(ref.memory == unit.memory()) ||
+                !(ref.usage == unit.usage()) ||
+                !(ref.linkage == unit.linkage().linkage()) ||
+                !(ref.precedence == unit.linkage().precedence()))
                 return false;
         }
     }
@@ -451,11 +256,22 @@ writeSkipSweep(bool smoke)
     return results;
 }
 
+/** The early-episode workload's interface: one-hot allocation writes. */
+InterfaceVector
+earlyEpisodeIface(const DncConfig &cfg)
+{
+    Rng rng(7);
+    InterfaceVector iface = benchIface(cfg, rng);
+    iface.allocationGate = 1.0;
+    iface.writeGate = 1.0;
+    return iface;
+}
+
 // --------------------------------------------------------------------
-// Active-row linkage sweep (the PR's tentpole): throughput of the
-// sparse O(A*N) sweep vs the forced-dense O(N^2) one on the regime it
-// targets — early-episode serving, where allocation-gated writes are
-// one-hot and A stays <= N/4 — plus a linkageSkipThreshold exactness
+// Active-row linkage sweep: throughput of the sparse O(A*N) sweep vs
+// the dense oracle's O(N^2) one on the regime it targets — early-
+// episode serving, where allocation-gated writes are one-hot and A
+// stays <= N/4 — plus a linkageSkipThreshold exactness
 // sweep in the same Fig. 10 style as writeSkipThreshold above.
 // --------------------------------------------------------------------
 
@@ -463,7 +279,7 @@ struct LinkSkipResult
 {
     Real threshold;
     double earlyStepsPerSec;   ///< episodic allocation traffic, A <= N/4
-    double earlySpeedup;       ///< vs the forced-dense baseline
+    double earlySpeedup;       ///< vs the dense oracle
     double meanActiveRows;     ///< measured A over the early-episode run
     double steadyStepsPerSec;  ///< soft traffic, no resets (dense regime)
     double errorRate;          ///< mean over the retrieval task subset
@@ -482,10 +298,7 @@ double
 earlyEpisodeRate(const DncConfig &cfg, Index episodeLen, double *meanActive,
                  double *readSkippedPerScore = nullptr)
 {
-    Rng rng(7);
-    InterfaceVector iface = benchIface(cfg, rng);
-    iface.allocationGate = 1.0; // one-hot allocation writes
-    iface.writeGate = 1.0;
+    const InterfaceVector iface = earlyEpisodeIface(cfg);
     MemoryUnit mu(cfg);
     MemoryReadout out;
     long stepCount = 0;
@@ -515,19 +328,46 @@ earlyEpisodeRate(const DncConfig &cfg, Index episodeLen, double *meanActive,
     return rate;
 }
 
+/**
+ * Dense baseline of the sparsity sweeps: the oracle's timesteps/s on
+ * earlyEpisodeRate's workload at benchConfig(n), episodes of n/4 steps
+ * (a fresh oracle per episode). Measured once per n and shared.
+ */
+double
+oracleEarlyRate(Index n)
+{
+    static std::map<Index, double> measured;
+    const auto it = measured.find(n);
+    if (it != measured.end())
+        return it->second;
+    const DncConfig cfg = benchConfig(n);
+    const InterfaceVector iface = earlyEpisodeIface(cfg);
+    const long episodeLen = static_cast<long>(n / 4);
+    oracle::MemoryUnitSim sim(cfg);
+    long stepCount = 0;
+    const double rate = benchStepsPerSecond([&] {
+        if (stepCount % episodeLen == 0)
+            sim = oracle::MemoryUnitSim(cfg);
+        ++stepCount;
+        sim.step(iface);
+    });
+    measured.emplace(n, rate);
+    return rate;
+}
+
 struct ActiveCurvePoint
 {
     Index n;
     Index episodeLen;
     double meanActiveRows;
     double sparseStepsPerSec;
-    double denseStepsPerSec;
+    double oracleStepsPerSec;
     double speedup;
 };
 
 /**
  * Measured A-vs-N curve at threshold 0: for each memory size, the mean
- * active-row count and the sparse-vs-dense throughput on the same
+ * active-row count and the sparse-vs-oracle throughput on the same
  * early-episode workload (episodes of N/4 steps).
  */
 std::vector<ActiveCurvePoint>
@@ -542,22 +382,18 @@ activeRowsCurve(bool smoke)
         double meanActive = 0.0;
         const double sparse =
             earlyEpisodeRate(sparseCfg, episodeLen, &meanActive);
-        DncConfig denseCfg = benchConfig(n);
-        denseCfg.linkageDenseSweep = true;
-        double denseActive = 0.0;
-        const double dense =
-            earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
+        const double dense = oracleEarlyRate(n);
         curve.push_back(
             {n, episodeLen, meanActive, sparse, dense, sparse / dense});
         std::printf("activeRows N=%5zu  mean A %7.1f  sparse %10.1f "
-                    "steps/s  dense %10.1f steps/s  speedup %.2fx\n",
+                    "steps/s  oracle %10.1f steps/s  speedup %.2fx\n",
                     n, meanActive, sparse, dense, sparse / dense);
     }
     return curve;
 }
 
 std::vector<LinkSkipResult>
-linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
+linkageSkipSweep(bool smoke, double *oracleRate, Index *sweepRows,
                  Index *episodeLenOut)
 {
     const Index n = smoke ? 256 : 1024;
@@ -565,14 +401,11 @@ linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
     *sweepRows = n;
     *episodeLenOut = episodeLen;
 
-    // Dense baseline: same workload, skipping disabled.
-    double denseActive = 0.0;
-    DncConfig denseCfg = benchConfig(n);
-    denseCfg.linkageDenseSweep = true;
-    *denseEarlyRate = earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
-    std::printf("linkageSweep dense    %10.1f steps/s (early-episode "
+    // Dense baseline: the oracle on the same workload.
+    *oracleRate = oracleEarlyRate(n);
+    std::printf("linkageSweep oracle   %10.1f steps/s (early-episode "
                 "N=%zu, episode %zu)\n",
-                *denseEarlyRate, n, episodeLen);
+                *oracleRate, n, episodeLen);
 
     const std::vector<Real> thresholds =
         smoke ? std::vector<Real>{0.0, 1e-6}
@@ -604,12 +437,12 @@ linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
         div.linkageSkipThreshold = th;
         const double rms = readDivergence(div);
 
-        results.push_back({th, early, early / *denseEarlyRate, meanActive,
+        results.push_back({th, early, early / *oracleRate, meanActive,
                            steady, err, err - baseErr, rms});
         std::printf("linkageSweep %.0e  early %10.1f steps/s (%.2fx, "
                     "mean A %.1f)  steady %10.1f steps/s  error %.4f "
                     "(delta %+.4f)  read RMS div %.2e\n",
-                    th, early, early / *denseEarlyRate, meanActive, steady,
+                    th, early, early / *oracleRate, meanActive, steady,
                     err, err - baseErr, rms);
     }
     return results;
@@ -620,7 +453,7 @@ struct ReadSkipResult
     Index n;
     Real threshold;
     double earlyStepsPerSec;
-    double earlySpeedup;        ///< vs the forced-dense baseline at this N
+    double earlySpeedup;        ///< vs the dense oracle at this N
     double meanActiveRows;      ///< linkage-sweep active rows
     double meanReadSkippedRows; ///< zero-norm rows skipped per content score
 };
@@ -629,7 +462,7 @@ struct ReadSkipResult
  * Read-stage rows of the sparsity sweep: the threshold drives the whole
  * pipeline (content-score norm skip, sparse memory read and the
  * column-sparse linkage sweeps together, as the knobs ship) against the
- * forced-dense baseline on the same early-episode workload.
+ * dense oracle on the same early-episode workload.
  */
 std::vector<ReadSkipResult>
 readSkipSweep(bool smoke)
@@ -640,11 +473,7 @@ readSkipSweep(bool smoke)
     std::vector<ReadSkipResult> rows;
     for (Index n : ns) {
         const Index episodeLen = n / 4;
-        DncConfig denseCfg = benchConfig(n);
-        denseCfg.linkageDenseSweep = true;
-        double denseActive = 0.0;
-        const double dense =
-            earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
+        const double dense = oracleEarlyRate(n);
         for (Real th : thresholds) {
             DncConfig cfg = benchConfig(n);
             cfg.readSkipThreshold = th;
@@ -656,7 +485,7 @@ readSkipSweep(bool smoke)
             rows.push_back(
                 {n, th, early, early / dense, meanActive, readSkipped});
             std::printf("readSweep N=%5zu th=%.0e  early %10.1f steps/s "
-                        "(%.2fx vs dense %.1f)  mean A %.1f  read-skip "
+                        "(%.2fx vs oracle %.1f)  mean A %.1f  read-skip "
                         "%.1f rows/score\n",
                         n, th, early, early / dense, dense, meanActive,
                         readSkipped);
@@ -678,22 +507,14 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
 
-    if (!crossCheck()) {
+    if (!oracleGate()) {
         std::fprintf(stderr,
-                     "FATAL: legacy and optimized paths diverged — "
+                     "FATAL: MemoryUnit diverged from the dense oracle — "
                      "refusing to benchmark unequal computations\n");
         return 1;
     }
-    std::printf("cross-check: legacy and optimized paths bit-identical\n");
-
-    if (!sparseDenseGate()) {
-        std::fprintf(stderr,
-                     "FATAL: sparse linkage sweep diverged from the dense "
-                     "sweep at threshold 0 — refusing to benchmark\n");
-        return 1;
-    }
-    std::printf("cross-check: sparse and dense linkage sweeps "
-                "bit-identical at threshold 0\n");
+    std::printf("oracle gate: MemoryUnit and dense oracle bit-identical "
+                "(one-hot and soft traffic, with resets)\n");
 
     const std::vector<Index> sizes =
         smoke ? std::vector<Index>{64, 256}
@@ -704,9 +525,9 @@ main(int argc, char **argv)
         Rng rng(7);
         const InterfaceVector iface = benchIface(cfg, rng);
 
-        legacy::MemoryUnitSim legacySim(cfg);
+        oracle::MemoryUnitSim oracleSim(cfg);
         const double legacyRate = benchStepsPerSecond(
-            [&] { legacySim.step(iface); });
+            [&] { oracleSim.step(iface); });
 
         MemoryUnit mu(cfg);
         MemoryReadout out;
@@ -759,12 +580,11 @@ main(int argc, char **argv)
     const std::vector<SkipResult> skips = writeSkipSweep(smoke);
 
     std::printf("\nlinkageSkipThreshold active-row sweep:\n");
-    double denseEarlyRate = 0.0;
+    double oracleRate = 0.0;
     Index sweepRows = 0;
     Index sweepEpisodeLen = 0;
     const std::vector<LinkSkipResult> linkSkips =
-        linkageSkipSweep(smoke, &denseEarlyRate, &sweepRows,
-                         &sweepEpisodeLen);
+        linkageSkipSweep(smoke, &oracleRate, &sweepRows, &sweepEpisodeLen);
 
     std::printf("\nread-stage sparsity sweep (early-episode):\n");
     const std::vector<ReadSkipResult> readSkips = readSkipSweep(smoke);
@@ -829,16 +649,16 @@ main(int argc, char **argv)
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,
-                 "  \"linkage_dense_baseline\": {\"n\": %zu, "
+                 "  \"linkage_oracle_baseline\": {\"n\": %zu, "
                  "\"episode_len\": %zu, \"early_steps_per_sec\": %.2f},\n",
-                 sweepRows, sweepEpisodeLen, denseEarlyRate);
+                 sweepRows, sweepEpisodeLen, oracleRate);
     std::fprintf(json, "  \"linkage_skip_sweep\": [\n");
     for (std::size_t i = 0; i < linkSkips.size(); ++i) {
         const LinkSkipResult &r = linkSkips[i];
         std::fprintf(json,
                      "    {\"threshold\": %.0e, "
                      "\"early_steps_per_sec\": %.2f, "
-                     "\"early_speedup_vs_dense\": %.3f, "
+                     "\"early_speedup_vs_oracle\": %.3f, "
                      "\"mean_active_rows_early\": %.1f, "
                      "\"steady_steps_per_sec\": %.2f, "
                      "\"retrieval_error_rate\": %.5f, "
@@ -856,7 +676,7 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"n\": %zu, \"threshold\": %.0e, "
                      "\"early_steps_per_sec\": %.2f, "
-                     "\"early_speedup_vs_dense\": %.3f, "
+                     "\"early_speedup_vs_oracle\": %.3f, "
                      "\"mean_active_rows_early\": %.1f, "
                      "\"mean_read_skipped_rows_per_score\": %.1f}%s\n",
                      r.n, r.threshold, r.earlyStepsPerSec, r.earlySpeedup,
@@ -871,10 +691,10 @@ main(int argc, char **argv)
                      "    {\"n\": %zu, \"episode_len\": %zu, "
                      "\"mean_active_rows\": %.1f, "
                      "\"sparse_steps_per_sec\": %.2f, "
-                     "\"dense_steps_per_sec\": %.2f, "
+                     "\"oracle_steps_per_sec\": %.2f, "
                      "\"speedup\": %.3f}%s\n",
                      r.n, r.episodeLen, r.meanActiveRows,
-                     r.sparseStepsPerSec, r.denseStepsPerSec, r.speedup,
+                     r.sparseStepsPerSec, r.oracleStepsPerSec, r.speedup,
                      i + 1 < curve.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");

@@ -385,25 +385,55 @@ runPipelinedPoint(Transport transport, Index tiles, Index workers,
 
 /** One measured kill + recovery on the sync coordinator. */
 /**
- * Byte sizes of one tile's checkpoint frame under the v6 sparse
- * encoding vs the dense escape, plus the bit-identity verdict of a
- * restore from the sparse frame. The traffic is allocation-gated
- * (early-episode), where the active set is a small fraction of N and
- * the sparse frames must win by bytes.
+ * Byte sizes of one tile's checkpoint frame at two occupancies of the
+ * same shape: early-episode (allocation-gated one-hot writes, so the
+ * active set is a small fraction of N) and saturated (soft writes have
+ * reached every memory and linkage row), plus the bit-identity verdict
+ * of a restore from each frame.
  */
 struct CheckpointFrameReport
 {
-    bool ok = false;         ///< sparse restore replayed bit-identically
+    bool ok = false;         ///< early frame smaller; both restores exact
     Index rows = 0;          ///< tile N
-    Index activeRows = 0;    ///< touched slots at capture time
-    std::size_t sparseBytes = 0;
-    std::size_t denseBytes = 0;
+    Index activeRows = 0;    ///< touched slots in the early tile
+    std::size_t earlyBytes = 0;
+    std::size_t saturatedBytes = 0;
 };
 
 /**
- * Fatal gate for the v6 sparse checkpoint path: at an early-episode
- * active set the frame must be byte-smaller than the dense encoding
- * AND restore a replica that replays bit-identically against the
+ * Decode a one-tile checkpoint frame, restore a replica from it, and
+ * run the replica in lockstep with `live` for 8 steps of soft traffic.
+ */
+bool
+restoresBitIdentical(const WireWriter &frame, MemoryUnit &live,
+                     const DncConfig &cfg, Rng &rng)
+{
+    MemoryTileState snap;
+    MemoryTileState *slots[] = {&snap};
+    std::uint64_t seq = 0;
+    if (!decodeCheckpointState(frame.buffer().data(), frame.buffer().size(),
+                               cfg, slots, 1, seq))
+        return false;
+    MemoryUnit replica(cfg);
+    replica.restoreState(snap);
+    MemoryReadout a, b;
+    for (int step = 0; step < 8; ++step) {
+        const InterfaceVector iface = randomIface(cfg, rng);
+        live.stepInto(iface, a);
+        replica.stepInto(iface, b);
+        for (Index h = 0; h < cfg.readHeads; ++h)
+            if (!(a.readVectors[h] == b.readVectors[h]))
+                return false;
+        if (!(a.writeWeighting == b.writeWeighting))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Fatal gate for the row-sparse checkpoint body: the early-episode
+ * frame must be byte-smaller than the saturated one, and both must
+ * restore a replica that replays bit-identically against the
  * uninterrupted tile.
  */
 CheckpointFrameReport
@@ -411,52 +441,30 @@ sparseCheckpointGate()
 {
     CheckpointFrameReport rep;
     const DncConfig cfg = benchConfig(1);
-    DncConfig denseCfg = cfg;
-    denseCfg.linkageDenseSweep = true;
     rep.rows = cfg.memoryRows;
 
-    std::vector<std::unique_ptr<MemoryUnit>> sparse, dense;
-    sparse.push_back(std::make_unique<MemoryUnit>(cfg));
-    dense.push_back(std::make_unique<MemoryUnit>(denseCfg));
+    std::vector<std::unique_ptr<MemoryUnit>> early, saturated;
+    early.push_back(std::make_unique<MemoryUnit>(cfg));
+    saturated.push_back(std::make_unique<MemoryUnit>(cfg));
     Rng rng(11);
     MemoryReadout out;
     for (int step = 0; step < 16; ++step) {
         InterfaceVector iface = randomIface(cfg, rng);
         iface.allocationGate = 1.0; // early-episode one-hot writes
         iface.writeGate = 1.0;
-        sparse[0]->stepInto(iface, out);
-        dense[0]->stepInto(iface, out);
+        early[0]->stepInto(iface, out);
+        saturated[0]->stepInto(randomIface(cfg, rng), out);
     }
-    rep.activeRows = sparse[0]->linkage().touchedSlots().size();
+    rep.activeRows = early[0]->linkage().touchedSlots().size();
 
-    WireWriter sparseFrame, denseFrame;
-    encodeCheckpointState(1, sparse, cfg, sparseFrame);
-    encodeCheckpointState(1, dense, denseCfg, denseFrame);
-    rep.sparseBytes = sparseFrame.buffer().size();
-    rep.denseBytes = denseFrame.buffer().size();
-    if (rep.sparseBytes >= rep.denseBytes)
-        return rep;
-
-    MemoryTileState snap;
-    MemoryTileState *slots[] = {&snap};
-    std::uint64_t seq = 0;
-    if (!decodeCheckpointState(sparseFrame.buffer().data(), rep.sparseBytes,
-                               cfg, slots, 1, seq))
-        return rep;
-    MemoryUnit replica(cfg);
-    replica.restoreState(snap);
-    MemoryReadout a, b;
-    for (int step = 0; step < 8; ++step) {
-        const InterfaceVector iface = randomIface(cfg, rng);
-        sparse[0]->stepInto(iface, a);
-        replica.stepInto(iface, b);
-        for (Index h = 0; h < cfg.readHeads; ++h)
-            if (!(a.readVectors[h] == b.readVectors[h]))
-                return rep;
-        if (!(a.writeWeighting == b.writeWeighting))
-            return rep;
-    }
-    rep.ok = true;
+    WireWriter earlyFrame, saturatedFrame;
+    encodeCheckpointState(1, early, cfg, earlyFrame);
+    encodeCheckpointState(1, saturated, cfg, saturatedFrame);
+    rep.earlyBytes = earlyFrame.buffer().size();
+    rep.saturatedBytes = saturatedFrame.buffer().size();
+    rep.ok = rep.earlyBytes < rep.saturatedBytes &&
+             restoresBitIdentical(earlyFrame, *early[0], cfg, rng) &&
+             restoresBitIdentical(saturatedFrame, *saturated[0], cfg, rng);
     return rep;
 }
 
@@ -466,7 +474,6 @@ struct RecoveryRow
     Index tiles;
     Index workers;
     Index interval;    ///< checkpoint cadence (steps)
-    bool denseFrames;  ///< dense escape: pre-sparsity checkpoint frames
     double stepMs;     ///< fastest normal step just before the kill
     double recoveryMs; ///< the killed step: detect + respawn + restore + replay
 };
@@ -477,17 +484,14 @@ struct RecoveryRow
  * and time the step that detects the loss and recovers through it.
  *
  * Traffic is allocation-gated so the run sits in the early-episode
- * regime where the v6 sparse checkpoint frames apply; `denseFrames`
- * re-runs the same workload through the dense escape (dense sweeps and
- * dense frames — the pre-sparsity behavior) for comparison.
+ * regime, where the row-sparse checkpoint frames are small.
  */
 RecoveryRow
 runRecoveryRow(Transport transport, Index tiles, Index workers,
-               Index interval, bool denseFrames = false)
+               Index interval)
 {
     DncConfig cfg = benchConfig(tiles);
     cfg.shardCheckpointIntervalSteps = interval;
-    cfg.linkageDenseSweep = denseFrames;
     Rng rng(7);
     InterfaceVector iface = randomIface(cfg, rng);
     iface.allocationGate = 1.0;
@@ -498,7 +502,6 @@ runRecoveryRow(Transport transport, Index tiles, Index workers,
     row.tiles = tiles;
     row.workers = workers;
     row.interval = interval;
-    row.denseFrames = denseFrames;
 
     LocalShardCluster stack = makeLocalCluster(
         toCluster(transport), cfg, tiles, workers, MergePolicy::Confidence,
@@ -576,20 +579,20 @@ main(int argc, char **argv)
     const CheckpointFrameReport frames = sparseCheckpointGate();
     if (!frames.ok) {
         std::fprintf(stderr,
-                     "FATAL: v6 sparse checkpoint frames failed the gate "
-                     "(sparse %zu B vs dense %zu B at A=%zu/N=%zu) — "
-                     "either the frame did not shrink or the restore "
+                     "FATAL: checkpoint frames failed the gate (early "
+                     "%zu B vs saturated %zu B at A=%zu/N=%zu) — either "
+                     "the early frame did not shrink or a restore "
                      "diverged\n",
-                     frames.sparseBytes, frames.denseBytes,
+                     frames.earlyBytes, frames.saturatedBytes,
                      frames.activeRows, frames.rows);
         return 1;
     }
-    std::printf("cross-check: sparse checkpoint frame %zu B vs dense "
-                "%zu B (%.1fx smaller at A=%zu/N=%zu), restore "
-                "bit-identical\n",
-                frames.sparseBytes, frames.denseBytes,
-                static_cast<double>(frames.denseBytes) /
-                    static_cast<double>(frames.sparseBytes),
+    std::printf("cross-check: early-episode checkpoint frame %zu B vs "
+                "saturated %zu B (%.1fx smaller at A=%zu/N=%zu), both "
+                "restores bit-identical\n",
+                frames.earlyBytes, frames.saturatedBytes,
+                static_cast<double>(frames.saturatedBytes) /
+                    static_cast<double>(frames.earlyBytes),
                 frames.activeRows, frames.rows);
 
     struct Case
@@ -607,7 +610,6 @@ main(int argc, char **argv)
         Index tiles;
         Index workers;
         Index interval;
-        bool denseFrames = false;
     };
     std::vector<Case> cases;
     std::vector<RecoveryCase> recoveryCases;
@@ -623,10 +625,8 @@ main(int argc, char **argv)
                  {Transport::Shm, 4, 2, 0, 16}};
         // Injected kill + recovery under the sanitizers — the shm row
         // drives ring re-rendezvous + replay through TSan/ASan too.
-        // One sparse-frame row and one dense-escape row, so both
-        // checkpoint encodings recover under the sanitizers.
-        recoveryCases = {{Transport::Unix, 4, 2, 16, false},
-                         {Transport::Shm, 4, 2, 16, true}};
+        recoveryCases = {{Transport::Unix, 4, 2, 16},
+                         {Transport::Shm, 4, 2, 16}};
     } else {
         for (Index tiles : {Index(2), Index(4), Index(8), Index(16)}) {
             const Index workers = tiles >= 4 ? 4 : tiles;
@@ -669,11 +669,6 @@ main(int argc, char **argv)
             recoveryCases.push_back({Transport::Tcp, 8, 4, interval});
             recoveryCases.push_back({Transport::Shm, 8, 4, interval});
         }
-        // Dense-escape twins at interval 64: same workload recovered
-        // through dense checkpoint frames, pricing the v6 sparse-frame
-        // restore against the pre-sparsity baseline.
-        recoveryCases.push_back({Transport::Unix, 8, 4, 64, true});
-        recoveryCases.push_back({Transport::Shm, 8, 4, 64, true});
     }
 
     std::printf("bench_shard: N=1024, W=64, R=4; merge round trips "
@@ -721,14 +716,13 @@ main(int argc, char **argv)
     std::vector<RecoveryRow> recoveries;
     for (const RecoveryCase &c : recoveryCases) {
         const RecoveryRow r = runRecoveryRow(c.transport, c.tiles, c.workers,
-                                             c.interval, c.denseFrames);
+                                             c.interval);
         recoveries.push_back(r);
         std::printf("%-10s tiles=%2zu workers=%zu recovery ckpt=%-4zu "
-                    "%s frames  killed worker recovered in %.2f ms "
-                    "(normal step %.3f ms)\n",
+                    "killed worker recovered in %.2f ms (normal step "
+                    "%.3f ms)\n",
                     transportName(r.transport), r.tiles, r.workers,
-                    r.interval, r.denseFrames ? "dense " : "sparse",
-                    r.recoveryMs, r.stepMs);
+                    r.interval, r.recoveryMs, r.stepMs);
     }
 
     FILE *json = std::fopen("BENCH_shard.json", "w");
@@ -768,22 +762,21 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"transport\": \"%s\", \"tiles\": %zu, "
                      "\"workers\": %zu, \"checkpoint_interval\": %zu, "
-                     "\"dense_frames\": %s, "
                      "\"step_ms\": %.4f, \"recovery_ms\": %.4f}%s\n",
                      transportName(r.transport), r.tiles, r.workers,
-                     r.interval, r.denseFrames ? "true" : "false", r.stepMs,
-                     r.recoveryMs, i + 1 < recoveries.size() ? "," : "");
+                     r.interval, r.stepMs, r.recoveryMs,
+                     i + 1 < recoveries.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,
                  "  \"checkpoint_frames\": {\"memory_rows\": %zu, "
-                 "\"active_rows\": %zu, \"sparse_frame_bytes\": %zu, "
-                 "\"dense_frame_bytes\": %zu, \"shrink_factor\": %.2f, "
+                 "\"active_rows\": %zu, \"early_frame_bytes\": %zu, "
+                 "\"saturated_frame_bytes\": %zu, \"shrink_factor\": %.2f, "
                  "\"restore_bit_identical\": true},\n",
-                 frames.rows, frames.activeRows, frames.sparseBytes,
-                 frames.denseBytes,
-                 static_cast<double>(frames.denseBytes) /
-                     static_cast<double>(frames.sparseBytes));
+                 frames.rows, frames.activeRows, frames.earlyBytes,
+                 frames.saturatedBytes,
+                 static_cast<double>(frames.saturatedBytes) /
+                     static_cast<double>(frames.earlyBytes));
     // The process registry accumulated over every point above (workers
     // run in-process here): the run's own telemetry, machine-readable.
     obs::Snapshot telemetry;

@@ -12,15 +12,14 @@ namespace hima {
 MemoryUnit::MemoryUnit(const DncConfig &config)
     : config_(config),
       addressing_(config.approximateSoftmax, config.softmaxSegments,
-                  config.readSkipThreshold, config.linkageDenseSweep),
+                  config.readSkipThreshold),
       usageSorter_(referenceUsageSort),
       skimK_(static_cast<Index>(config.skimRate *
                                 static_cast<Real>(config.memoryRows))),
       memory_(config.memoryRows, config.memoryWidth),
       rowNorms_(config.memoryRows),
       usage_(config.memoryRows),
-      linkage_(config.memoryRows, config.linkageSkipThreshold,
-               config.linkageDenseSweep),
+      linkage_(config.memoryRows, config.linkageSkipThreshold),
       writeWeighting_(config.memoryRows),
       readWeightings_(config.readHeads, Vector(config.memoryRows)),
       ws_(config.memoryRows, config.memoryWidth, config.readHeads)
@@ -214,13 +213,9 @@ MemoryUnit::softRead(const InterfaceVector &iface, MemoryReadout &out)
         // rows — only simulator work is skipped.
         {
             KernelScope scope(profiler_, Kernel::MemoryRead);
-            Index skipped = 0;
-            if (config_.linkageDenseSweep)
-                matTVecInto(memory_, weighting, out.readVectors[head]);
-            else
-                skipped = matTVecSparseInto(memory_, weighting, rowNorms_,
-                                            config_.readSkipThreshold,
-                                            out.readVectors[head]);
+            const Index skipped = matTVecSparseInto(
+                memory_, weighting, rowNorms_, config_.readSkipThreshold,
+                out.readVectors[head]);
             auto &c = profiler_.at(Kernel::MemoryRead);
             c.macOps += static_cast<std::uint64_t>(n) * w;
             c.extMemAccesses += static_cast<std::uint64_t>(n) * w;

@@ -302,9 +302,8 @@ readQuad4Sparse(const Real *r0, Index n, const Index *cols, Index count,
 
 } // namespace
 
-TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold,
-                                 bool denseSweep)
-    : slots_(slots), skipThreshold_(skipThreshold), denseSweep_(denseSweep),
+TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold)
+    : slots_(slots), skipThreshold_(skipThreshold),
       linkage_(slots, slots), precedence_(slots), rowMass_(slots)
 {
     HIMA_ASSERT(slots_ > 0, "linkage needs at least one slot");
@@ -325,9 +324,9 @@ TemporalLinkage::gatherActiveRows(const Real *writeWeighting)
         const bool writing = writeWeighting[i] > t;
         if (writing)
             touched_[i] = 1;
-        if (denseSweep_ || touched_[i])
+        if (touched_[i])
             touchedList_.push_back(i);
-        if (denseSweep_ || mass[i] > t || writing)
+        if (mass[i] > t || writing)
             activeRows_.push_back(i);
     }
     touchedListValid_ = true;
@@ -340,7 +339,7 @@ TemporalLinkage::touchedSlots() const
     if (!touchedListValid_) {
         touchedList_.clear();
         for (Index i = 0; i < slots_; ++i)
-            if (denseSweep_ || touched_[i])
+            if (touched_[i])
                 touchedList_.push_back(i);
         touchedListValid_ = true;
     }
@@ -474,7 +473,7 @@ TemporalLinkage::forwardWeightingInto(const Vector &prevReadWeighting,
     Real *py = f.data();
     Index skipped = 0;
     for (Index r = 0; r < slots_; ++r) {
-        if (!denseSweep_ && mass[r] <= t) {
+        if (mass[r] <= t) {
             py[r] = 0.0;
             ++skipped;
             continue;
@@ -538,7 +537,7 @@ TemporalLinkage::backwardWeightingInto(const Vector &prevReadWeighting,
         py[c] = 0.0;
     Index skipped = 0;
     for (Index r = 0; r < slots_; ++r) {
-        if (!denseSweep_ && mass[r] <= t) {
+        if (mass[r] <= t) {
             ++skipped;
             continue;
         }
@@ -890,22 +889,6 @@ TemporalLinkage::restoreState(const Vector &linkageFlat,
         prev = s;
     }
     rebuildMassAndMarkTouched();
-}
-
-void
-TemporalLinkage::restoreState(const Vector &linkageFlat,
-                              const Vector &precedence)
-{
-    static const std::vector<Index> kNone;
-    restoreState(linkageFlat, precedence, kNone);
-    // Without a snapshotted touched set, slots whose precedence still
-    // carries mass must count as touched: their columns receive
-    // w[i]*p[j] on the very next update. (See the header comment for
-    // the positive-threshold caveat.)
-    for (Index j = 0; j < slots_; ++j)
-        if (precedence_[j] != 0.0)
-            touched_[j] = 1;
-    touchedListValid_ = false;
 }
 
 } // namespace hima

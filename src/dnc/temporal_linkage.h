@@ -66,10 +66,8 @@ class TemporalLinkage
      * Construct zeroed state for an N-slot memory.
      *
      * @param skipThreshold active-row threshold (see class comment)
-     * @param denseSweep    bench/test escape: never skip any row
      */
-    explicit TemporalLinkage(Index slots, Real skipThreshold = 0.0,
-                             bool denseSweep = false);
+    explicit TemporalLinkage(Index slots, Real skipThreshold = 0.0);
 
     /**
      * HR.(1) Linkage update:
@@ -162,10 +160,10 @@ class TemporalLinkage
 
     /**
      * The monotone touched-slot set: slots whose write weight exceeded
-     * the skip threshold at some step since the last reset (every slot
-     * when the dense escape is on), ascending. This is the column set
-     * every sweep iterates, and the set checkpoints must carry for a
-     * restore to reproduce an undisturbed run at positive thresholds.
+     * the skip threshold at some step since the last reset, ascending.
+     * This is the column set every sweep iterates, and the set
+     * checkpoints must carry for a restore to reproduce an undisturbed
+     * run at positive thresholds.
      */
     const std::vector<Index> &touchedSlots() const;
 
@@ -187,17 +185,6 @@ class TemporalLinkage
      */
     void restoreState(const Vector &linkageFlat, const Vector &precedence,
                       const std::vector<Index> &touchedSlots);
-
-    /**
-     * Legacy two-argument restore: derives the touched set as {columns
-     * with nonzero mass} union {slots with nonzero precedence}. At
-     * threshold 0 that is exactly the semantic touched set (modulo
-     * fully-decayed slots, whose handling is bit-identical either way);
-     * at positive thresholds it can over-mark slots whose write weight
-     * never exceeded the threshold — prefer the three-argument form,
-     * which checkpoints use.
-     */
-    void restoreState(const Vector &linkageFlat, const Vector &precedence);
 
   private:
     /** updateAndRead() body specialized on the head count R. */
@@ -223,7 +210,6 @@ class TemporalLinkage
 
     Index slots_;
     Real skipThreshold_;
-    bool denseSweep_;
     Matrix linkage_;
     Vector precedence_;
     Vector rowMass_; ///< per-row sum of |L[i][j]| (see rowMass())

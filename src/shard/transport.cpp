@@ -685,13 +685,13 @@ shmSlotBytesFor(const DncConfig &shard, Index tiles, Index hostedTiles,
     const std::size_t laneCount = std::max<std::size_t>(1, lanes);
     const std::size_t states = hosted * laneCount;
     // CheckpointState / Restore carry full MemoryUnit state per
-    // (lane, tile) — memory N*W, linkage N*N, row norms + usage +
-    // precedence + write weighting 4N, read weightings R*N — by far
-    // the largest frame the protocol produces. The v6 body adds an
-    // encoding byte and the touched-slot list (worst case 4N + counts);
-    // the sparse encoding is chosen per tile only when byte-smaller
-    // than dense, so the dense size plus that headroom bounds every
-    // frame the encoder can emit.
+    // (lane, tile), by far the largest frame the protocol produces.
+    // The row-sparse tile body peaks at full occupancy: memory N*W and
+    // linkage N*N with a u32 index per row (8N), usage + precedence +
+    // write weighting 3N, read weightings R*N, the touched-slot list
+    // 4N, and three u32 counts. The bound below — (4 + R)N Reals, 4N
+    // bytes and 16 bytes of counts per state — covers that worst case
+    // with 4 bytes to spare.
     const std::size_t snapshot =
         states * (8 * (n * w + n * n + (4 + r) * n) + 4 * n + 16);
     // Scatter: one interface vector (+ per-entry framing) per lane, or

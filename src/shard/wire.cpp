@@ -65,7 +65,6 @@ WireConfig::fromShard(const DncConfig &shard, Index hostedTiles, Index lanes)
     wc.writeSkipThreshold = shard.writeSkipThreshold;
     wc.linkageSkipThreshold = shard.linkageSkipThreshold;
     wc.readSkipThreshold = shard.readSkipThreshold;
-    wc.denseSweep = shard.linkageDenseSweep ? 1 : 0;
     wc.tiles = hostedTiles;
     return wc;
 }
@@ -85,7 +84,6 @@ WireConfig::toShardConfig() const
     cfg.writeSkipThreshold = writeSkipThreshold;
     cfg.linkageSkipThreshold = linkageSkipThreshold;
     cfg.readSkipThreshold = readSkipThreshold;
-    cfg.linkageDenseSweep = denseSweep != 0;
     return cfg;
 }
 
@@ -418,7 +416,6 @@ putConfigBody(const WireConfig &config, WireWriter &out)
     out.putReal(config.writeSkipThreshold);
     out.putReal(config.linkageSkipThreshold);
     out.putReal(config.readSkipThreshold);
-    out.putU8(config.denseSweep);
     out.putU64(config.tiles);
     out.putU64(config.firstTile);
 }
@@ -439,7 +436,6 @@ readConfigBody(WireReader &in, WireConfig &config)
     config.writeSkipThreshold = in.real();
     config.linkageSkipThreshold = in.real();
     config.readSkipThreshold = in.real();
-    config.denseSweep = in.u8();
     config.tiles = in.u64();
     config.firstTile = in.u64();
 }
@@ -459,70 +455,48 @@ rowHasNonzero(const Real *row, Index count)
 }
 
 /**
- * Tile-state body, shared by the live-tile (CheckpointState) and
- * snapshot (Restore) encoders so their frames are byte-identical for
- * equal state. Layout: [u8 encoding] [u32 touchedCount] [ascending u32
- * slots], then the dense v5 field sequence (encoding 0) or the sparse
- * row-pair sections (encoding 1; rowNorms omitted — the decoder
- * rebuilds them from the shipped rows). Each tile takes whichever
- * encoding is byte-smaller, so the dense size bounds every frame (the
- * shm slot sizing relies on that); `denseSweep` forces dense.
+ * One row-pair section of a tile body: [u32 count] then (u32 index,
+ * row) for every row of the n x width block holding a nonzero entry,
+ * ascending. Omitted rows are all-zero, so the decoder's zero fill
+ * restores them exactly.
  */
 void
-putStateBodyV6(const Real *mem, const Real *rowNorms, const Real *usage,
-               const Real *link, const Real *prec, const Real *ww,
-               const Real *const *readW, Index n, Index w, Index r,
-               const std::vector<Index> &touched, bool denseSweep,
-               WireWriter &out)
+putNonzeroRows(const Real *block, Index n, Index width, WireWriter &out)
 {
-    Index memRows = 0;
-    Index linkRows = 0;
-    if (!denseSweep) {
-        for (Index i = 0; i < n; ++i)
-            if (rowHasNonzero(mem + i * w, w))
-                ++memRows;
-        for (Index i = 0; i < n; ++i)
-            if (rowHasNonzero(link + i * n, n))
-                ++linkRows;
+    Index count = 0;
+    for (Index i = 0; i < n; ++i)
+        if (rowHasNonzero(block + i * width, width))
+            ++count;
+    out.putU32(static_cast<std::uint32_t>(count));
+    for (Index i = 0; i < n; ++i) {
+        const Real *row = block + i * width;
+        if (!rowHasNonzero(row, width))
+            continue;
+        out.putU32(static_cast<std::uint32_t>(i));
+        out.putRealArray(row, width);
     }
-    const std::size_t denseBytes =
-        8 * (static_cast<std::size_t>(n) * w + n + n * static_cast<std::size_t>(n));
-    const std::size_t sparseBytes =
-        8 + memRows * (4 + 8 * static_cast<std::size_t>(w)) +
-        linkRows * (4 + 8 * static_cast<std::size_t>(n));
-    const bool sparse = !denseSweep && sparseBytes < denseBytes;
+}
 
-    out.putU8(sparse ? 1 : 0);
+/**
+ * Tile-state body, shared by the live-tile (CheckpointState) and
+ * snapshot (Restore) encoders so their frames are byte-identical for
+ * equal state. Layout: [u32 touchedCount] [ascending u32 slots], the
+ * nonzero memory rows and the nonzero linkage rows as row-pair
+ * sections (see putNonzeroRows), then usage, precedence and the
+ * write and read weightings as raw arrays. The row-norm cache is not
+ * shipped; the decoder rebuilds it from the memory rows.
+ */
+void
+putStateBody(const Real *mem, const Real *usage, const Real *link,
+             const Real *prec, const Real *ww, const Real *const *readW,
+             Index n, Index w, Index r, const std::vector<Index> &touched,
+             WireWriter &out)
+{
     out.putU32(static_cast<std::uint32_t>(touched.size()));
     for (Index s : touched)
         out.putU32(static_cast<std::uint32_t>(s));
-
-    if (!sparse) {
-        out.putRealArray(mem, n * w);
-        out.putRealArray(rowNorms, n);
-        out.putRealArray(usage, n);
-        out.putRealArray(link, static_cast<std::size_t>(n) * n);
-        out.putRealArray(prec, n);
-        out.putRealArray(ww, n);
-        for (Index h = 0; h < r; ++h)
-            out.putRealArray(readW[h], n);
-        return;
-    }
-
-    out.putU32(static_cast<std::uint32_t>(memRows));
-    for (Index i = 0; i < n; ++i) {
-        if (!rowHasNonzero(mem + i * w, w))
-            continue;
-        out.putU32(static_cast<std::uint32_t>(i));
-        out.putRealArray(mem + i * w, w);
-    }
-    out.putU32(static_cast<std::uint32_t>(linkRows));
-    for (Index i = 0; i < n; ++i) {
-        if (!rowHasNonzero(link + i * n, n))
-            continue;
-        out.putU32(static_cast<std::uint32_t>(i));
-        out.putRealArray(link + i * n, n);
-    }
+    putNonzeroRows(mem, n, w, out);
+    putNonzeroRows(link, n, n, out);
     out.putRealArray(usage, n);
     out.putRealArray(prec, n);
     out.putRealArray(ww, n);
@@ -552,12 +526,11 @@ putTileStateBody(const MemoryUnit &tile, WireWriter &out)
     HIMA_ASSERT(r <= 32, "readHeads exceeds wire cap");
     for (Index h = 0; h < r; ++h)
         readW[h] = tile.readWeightings()[h].data();
-    putStateBodyV6(tile.memory().data(), tile.rowNorms().data(),
-                   tile.usage().data(), tile.linkage().linkage().data(),
-                   tile.linkage().precedence().data(),
-                   tile.writeWeighting().data(), readW, cfg.memoryRows,
-                   cfg.memoryWidth, r, tile.linkage().touchedSlots(),
-                   cfg.linkageDenseSweep, out);
+    putStateBody(tile.memory().data(), tile.usage().data(),
+                 tile.linkage().linkage().data(),
+                 tile.linkage().precedence().data(),
+                 tile.writeWeighting().data(), readW, cfg.memoryRows,
+                 cfg.memoryWidth, r, tile.linkage().touchedSlots(), out);
 }
 
 void
@@ -569,11 +542,10 @@ putSnapshotBody(const MemoryTileState &s, const DncConfig &shard,
     HIMA_ASSERT(r <= 32, "readHeads exceeds wire cap");
     for (Index h = 0; h < r; ++h)
         readW[h] = s.readWeightings[h].data();
-    putStateBodyV6(s.memory.data(), s.rowNorms.data(), s.usage.data(),
-                   s.linkage.data(), s.precedence.data(),
-                   s.writeWeighting.data(), readW, shard.memoryRows,
-                   shard.memoryWidth, r, s.touchedSlots,
-                   shard.linkageDenseSweep, out);
+    putStateBody(s.memory.data(), s.usage.data(), s.linkage.data(),
+                 s.precedence.data(), s.writeWeighting.data(), readW,
+                 shard.memoryRows, shard.memoryWidth, r, s.touchedSlots,
+                 out);
 }
 
 /**
@@ -603,46 +575,18 @@ readAscendingIndices(WireReader &in, Index n, std::vector<Index> &out)
     }
 }
 
+/**
+ * Read one row-pair section (see putNonzeroRows) into the zero-filled
+ * n x width block, calling `landed(idx, row)` after each row arrives.
+ * Fail-closed: the count is capped by n, and indices must be strictly
+ * ascending and in range before their row lands.
+ */
+template <class Landed>
 void
-readSnapshotBody(WireReader &in, const DncConfig &shard, MemoryTileState &s)
+readNonzeroRows(WireReader &in, Real *block, Index n, Index width,
+                Landed landed)
 {
-    const Index n = shard.memoryRows;
-    const Index w = shard.memoryWidth;
-    const Index r = shard.readHeads;
-    // Destinations are sized by the trusted handshake config, never by
-    // frame contents; resize reuses capacity in steady state.
-    s.sizeFor(shard);
-    const std::uint8_t enc = in.u8();
-    if (!in.ok() || enc > 1) {
-        in.fail();
-        return;
-    }
-    readAscendingIndices(in, n, s.touchedSlots);
-    if (!in.ok())
-        return;
-
-    if (enc == 0) {
-        in.realArray(s.memory.data(), n * w);
-        in.realArray(s.rowNorms.data(), n);
-        in.realArray(s.usage.data(), n);
-        in.realArray(s.linkage.data(), n * n);
-        in.realArray(s.precedence.data(), n);
-        in.realArray(s.writeWeighting.data(), n);
-        for (Index h = 0; h < r; ++h)
-            in.realArray(s.readWeightings[h].data(), n);
-        return;
-    }
-
-    // Sparse body: zero-fill, scatter the shipped rows, and rebuild the
-    // row-norm cache with the memory write's own summation order
-    // (ascending acc += v*v, then sqrt), so the rebuilt cache is
-    // bit-identical to the live tile's incrementally maintained one.
-    // Row indices are validated strictly ascending and in range before
-    // any row lands; omitted rows are all-zero by the encoder's
-    // nonzero-scan, so their zero norm is exact too.
-    s.memory.fill(0.0);
-    s.rowNorms.fill(0.0);
-    std::uint32_t count = in.u32();
+    const std::uint32_t count = in.u32();
     if (!in.ok() || count > static_cast<std::uint32_t>(n)) {
         in.fail();
         return;
@@ -655,31 +599,48 @@ readSnapshotBody(WireReader &in, const DncConfig &shard, MemoryTileState &s)
             in.fail();
             return;
         }
-        Real *row = s.memory.data() + static_cast<std::size_t>(idx) * w;
-        in.realArray(row, w);
-        Real acc = 0.0;
-        for (Index c = 0; c < w; ++c)
-            acc += row[c] * row[c];
-        s.rowNorms[idx] = std::sqrt(acc);
-        prev = idx;
-    }
-    s.linkage.fill(0.0);
-    count = in.u32();
-    if (!in.ok() || count > static_cast<std::uint32_t>(n)) {
-        in.fail();
-        return;
-    }
-    prev = 0;
-    for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t idx = in.u32();
-        if (!in.ok() || idx >= static_cast<std::uint32_t>(n) ||
-            (k > 0 && idx <= prev)) {
-            in.fail();
+        Real *row = block + static_cast<std::size_t>(idx) * width;
+        in.realArray(row, width);
+        if (!in.ok())
             return;
-        }
-        in.realArray(s.linkage.data() + static_cast<std::size_t>(idx) * n, n);
+        landed(idx, row);
         prev = idx;
     }
+}
+
+void
+readSnapshotBody(WireReader &in, const DncConfig &shard, MemoryTileState &s)
+{
+    const Index n = shard.memoryRows;
+    const Index w = shard.memoryWidth;
+    const Index r = shard.readHeads;
+    // Destinations are sized by the trusted handshake config, never by
+    // frame contents; resize reuses capacity in steady state.
+    s.sizeFor(shard);
+    readAscendingIndices(in, n, s.touchedSlots);
+    if (!in.ok())
+        return;
+
+    // Zero-fill, scatter the shipped rows, and rebuild the row-norm
+    // cache with the memory write's own summation order (ascending
+    // acc += v*v, then sqrt), so the rebuilt cache is bit-identical to
+    // the live tile's incrementally maintained one. Omitted rows are
+    // all-zero by the encoder's nonzero scan, so their zero norm is
+    // exact too.
+    s.memory.fill(0.0);
+    s.rowNorms.fill(0.0);
+    readNonzeroRows(in, s.memory.data(), n, w,
+                    [&](std::uint32_t idx, const Real *row) {
+                        Real acc = 0.0;
+                        for (Index c = 0; c < w; ++c)
+                            acc += row[c] * row[c];
+                        s.rowNorms[idx] = std::sqrt(acc);
+                    });
+    if (!in.ok())
+        return;
+    s.linkage.fill(0.0);
+    readNonzeroRows(in, s.linkage.data(), n, n,
+                    [](std::uint32_t, const Real *) {});
     in.realArray(s.usage.data(), n);
     in.realArray(s.precedence.data(), n);
     in.realArray(s.writeWeighting.data(), n);

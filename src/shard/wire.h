@@ -67,14 +67,11 @@
  * pairs and omits the row-norm cache entirely (the decoder rebuilds it
  * from the shipped rows with the memory write's own summation order,
  * bit-identically). The encoder picks per tile whichever encoding is
- * byte-smaller — early-episode snapshots shrink by ~N/A while a
- * saturated memory falls back to dense, which also bounds the shm slot
- * size — and `linkageDenseSweep` configs always emit dense frames.
- * Sparse decoders stay fail-closed: counts are capped by the handshake
- * shapes, indices must be strictly ascending and in range, the
- * encoding byte must be known, and truncation anywhere returns false.
- * The handshake grows the read-stage knobs (readSkipThreshold,
- * denseSweep) so coordinator and worker agree on the sparse datapath.
+ * byte-smaller. Sparse decoders stay fail-closed: counts are capped
+ * by the handshake shapes, indices must be strictly ascending and in
+ * range, and truncation anywhere returns false. The handshake grows
+ * the read skip threshold so coordinator and worker agree on the
+ * sparse datapath.
  *
  * Version 7 retires the single-lane Step/StepReply pair: LaneStep is
  * the only step frame, and a one-lane LaneStep is the synchronous
@@ -86,6 +83,12 @@
  * carries the tile assignment: the global tile count Nt and the
  * worker's first global tile. The remaining message types are
  * renumbered densely.
+ *
+ * Version 8 keeps one tile body. The encoding byte and the dense v5
+ * field sequence are gone: every body is the row-sparse one, which
+ * costs at most 8 bytes more than dense at full occupancy. The
+ * handshake drops the dense-sweep byte with the configuration field
+ * it carried.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -105,10 +108,9 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v7: Step/StepReply
- * retired into per-tile LaneStep entries; tile assignment in the
- * handshake). */
-constexpr std::uint8_t kWireVersion = 7;
+/** Protocol version; bumped on any layout change (v8: one row-sparse
+ * tile body; handshake without the dense-sweep byte). */
+constexpr std::uint8_t kWireVersion = 8;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
@@ -171,7 +173,6 @@ struct WireConfig
     Real writeSkipThreshold = 0.0;
     Real linkageSkipThreshold = 0.0;
     Real readSkipThreshold = 0.0;
-    std::uint8_t denseSweep = 0; ///< forces dense sweeps + dense frames
     std::uint64_t tiles = 0;     ///< global tile count Nt per lane
     std::uint64_t firstTile = 0; ///< first global tile this worker hosts
 
@@ -434,18 +435,18 @@ void encodeCheckpointRequest(std::uint64_t seq, WireWriter &out);
  * variable-length (an all-zero tile carries no W-dependent field at
  * all), so decoders validate the echoed shapes against their own
  * config instead of inferring a mismatch from frame length.
- * Body layout per tile: [u8 encoding] [u32
- * touchedCount] [u32 slot x touchedCount, strictly ascending], then
- * either the dense field sequence (encoding 0: memory N*W, rowNorms N,
- * usage N, linkage N*N, precedence N, writeWeighting N, readWeightings
- * R*N — shapes from the handshake, no per-field counts) or the sparse
- * one (encoding 1: [u32 memRows] [(u32 row, Real x W) x memRows]
- * [u32 linkRows] [(u32 row, Real x N) x linkRows], both strictly
- * ascending and covering exactly the rows holding a nonzero entry,
- * then dense usage/precedence/writeWeighting/readWeightings — the
- * row-norm cache is omitted and rebuilt on decode). Each tile uses
- * whichever encoding is byte-smaller; `shard.linkageDenseSweep` forces
- * encoding 0.
+ * Body layout per tile, one encoding for every occupancy:
+ * [u32 touchedCount] [u32 slot x touchedCount, strictly ascending]
+ * [u32 memRows] [(u32 row, Real x W) x memRows] [u32 linkRows]
+ * [(u32 row, Real x N) x linkRows] — both row lists strictly ascending
+ * and covering exactly the rows holding a nonzero entry — then usage
+ * N, precedence N, writeWeighting N and readWeightings R*N as raw
+ * arrays (shapes from the handshake, no per-field counts). The
+ * row-norm cache is not shipped; the decoder rebuilds it from the
+ * memory rows bit-identically. A saturated tile costs 8 bytes more
+ * than the pre-v8 dense body (its 2N row indices cost what the omitted
+ * norm block did; the two section counts add 8); shmSlotBytesFor
+ * bounds that worst case.
  */
 void encodeCheckpointState(std::uint64_t seq,
                            const std::vector<std::unique_ptr<MemoryUnit>>

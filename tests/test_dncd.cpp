@@ -5,9 +5,13 @@
  * monolithic DNC.
  */
 
+#include <algorithm>
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "dnc/dncd.h"
+#include "golden_util.h"
 #include "workload/retrieval.h"
 #include "workload/task_suite.h"
 
@@ -172,6 +176,81 @@ TEST(DncD, ResetClearsAllShards)
     model.reset();
     for (Index t = 0; t < 4; ++t)
         EXPECT_DOUBLE_EQ(model.shard(t).usage().sum(), 0.0);
+}
+
+/**
+ * Test-side full scan of tileConfidenceScore: every row scored, no row
+ * skipped, sums ascending as in dotRow and the memory write's norms.
+ */
+Real
+fullScanConfidence(const Matrix &mem, const Vector &key, Real strength)
+{
+    Real keyAcc = 0.0;
+    for (Index c = 0; c < key.size(); ++c)
+        keyAcc += key[c] * key[c];
+    const Real keyNorm = std::sqrt(keyAcc);
+    Real best = -1.0;
+    for (Index i = 0; i < mem.rows(); ++i) {
+        Real dot = 0.0;
+        Real sq = 0.0;
+        for (Index c = 0; c < mem.cols(); ++c) {
+            dot += mem(i, c) * key[c];
+            sq += mem(i, c) * mem(i, c);
+        }
+        best = std::max(best, dot / (std::sqrt(sq) * keyNorm + 1e-6));
+    }
+    return strength * best;
+}
+
+/**
+ * At readSkipThreshold 0 the scorer folds never-written rows in as a
+ * literal 0.0 without their dot; that must equal the full scan bit for
+ * bit, including when a zero row holds the maximum.
+ */
+TEST(DncD, ConfidenceZeroNormSkipMatchesFullScan)
+{
+    DncConfig cfg = testConfig();
+    cfg.memoryRows = 16;
+    MemoryUnit tile(cfg);
+    Rng rng(5);
+    MemoryReadout out;
+    // One allocation-gated write: exactly one row holds content.
+    InterfaceVector iface = golden::randomIface(cfg, rng);
+    iface.allocationGate = 1.0;
+    iface.writeGate = 1.0;
+    tile.stepInto(iface, out);
+
+    Index written = 0;
+    while (written < cfg.memoryRows && tile.rowNorms()[written] == 0.0)
+        ++written;
+    ASSERT_LT(written, cfg.memoryRows);
+    Vector away(cfg.memoryWidth);
+    for (Index c = 0; c < cfg.memoryWidth; ++c)
+        away[c] = -tile.memory()(written, c);
+    // Every written row points away from the key: a zero row's +0.0 is
+    // the maximum.
+    const Real awayScore = tileConfidenceScore(tile, away, 3.0);
+    EXPECT_EQ(awayScore, fullScanConfidence(tile.memory(), away, 3.0));
+    EXPECT_EQ(awayScore, 0.0);
+
+    for (int step = 0; step < 4; ++step) {
+        iface = golden::randomIface(cfg, rng);
+        iface.allocationGate = 1.0;
+        iface.writeGate = 1.0;
+        tile.stepInto(iface, out);
+    }
+    Index zeroRows = 0;
+    for (Index i = 0; i < cfg.memoryRows; ++i)
+        zeroRows += tile.rowNorms()[i] == 0.0 ? 1 : 0;
+    ASSERT_GT(zeroRows, 0u);
+    ASSERT_LT(zeroRows, cfg.memoryRows);
+    for (int k = 0; k < 8; ++k) {
+        const Vector key = rng.normalVector(cfg.memoryWidth);
+        const Real strength = 1.0 + rng.uniform(0.0, 8.0);
+        EXPECT_EQ(tileConfidenceScore(tile, key, strength),
+                  fullScanConfidence(tile.memory(), key, strength))
+            << "key " << k;
+    }
 }
 
 } // namespace

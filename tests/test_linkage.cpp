@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "common/random.h"
+#include "dense_oracle.h"
 #include "dnc/temporal_linkage.h"
 
 namespace hima {
@@ -224,9 +225,9 @@ sparseWritePattern(Rng &rng, Index n, int step)
 /**
  * Property test for the active-row sweep: under random sparse write
  * patterns, the fused updateAndRead() and the standalone forward/
- * backward kernels at threshold 0 are bit-identical to a forced dense
- * sweep, and the profiler's skipped-row counts match the activity
- * predicted from the dense reference matrix at every step.
+ * backward kernels at threshold 0 are bit-identical to the dense
+ * oracle's equations, and the profiler's skipped-row counts match the
+ * activity predicted from the oracle's matrix at every step.
  */
 class SparseLinkage : public ::testing::TestWithParam<int>
 {};
@@ -237,11 +238,12 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
     const Index heads = static_cast<Index>(GetParam());
     Rng rng(0xbeef + heads);
 
-    TemporalLinkage sparse(n);           // threshold 0, skipping enabled
-    TemporalLinkage dense(n, 0.0, true); // forced dense sweep
+    TemporalLinkage sparse(n); // threshold 0, skipping enabled
+    Matrix denseLink(n, n);    // the oracle's linkage and precedence
+    Vector densePrec(n);
     KernelProfiler profSparse;
 
-    std::vector<Vector> prevReads(heads), fS, bS, fD, bD;
+    std::vector<Vector> prevReads(heads), fS, bS;
     std::uint64_t totalSkipped = 0;
     for (int step = 0; step < 60; ++step) {
         const Vector w = sparseWritePattern(rng, n, step);
@@ -252,14 +254,14 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
 
         // Predict this step's activity from the dense matrix *before*
         // the update (the sweep decides from pre-update mass).
-        const Index active = referenceActiveRows(dense.linkage(), w, 0.0);
+        const Index active = referenceActiveRows(denseLink, w, 0.0);
         const std::uint64_t linkBefore =
             profSparse.at(Kernel::Linkage).skippedRows;
         const std::uint64_t fbBefore =
             profSparse.at(Kernel::ForwardBackward).skippedRows;
 
         sparse.updateAndRead(w, prevReads, fS, bS, &profSparse);
-        dense.updateAndRead(w, prevReads, fD, bD, nullptr);
+        oracle::updateLinkage(denseLink, w, densePrec);
 
         const std::uint64_t skipped = static_cast<std::uint64_t>(n - active);
         EXPECT_EQ(profSparse.at(Kernel::Linkage).skippedRows - linkBefore,
@@ -270,23 +272,23 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
         totalSkipped += skipped;
 
         // Bit-identical state and readouts (operator== is exact).
-        ASSERT_TRUE(sparse.linkage() == dense.linkage()) << "step " << step;
+        ASSERT_TRUE(sparse.linkage() == denseLink) << "step " << step;
         for (Index h = 0; h < heads; ++h) {
-            EXPECT_TRUE(fS[h] == fD[h]) << "forward head " << h;
-            EXPECT_TRUE(bS[h] == bD[h]) << "backward head " << h;
+            EXPECT_TRUE(fS[h] == oracle::matVec(denseLink, prevReads[h]))
+                << "forward head " << h;
+            EXPECT_TRUE(bS[h] == oracle::matTVec(denseLink, prevReads[h]))
+                << "backward head " << h;
         }
 
         // The standalone kernels skip by cached mass alone; they must
         // agree with the dense reference bit-for-bit too.
         Vector probe = rng.uniformVector(n);
         probe = scale(probe, 1.0 / probe.sum());
-        Vector f1, f2, b1, b2;
-        sparse.forwardWeightingInto(probe, f1);
-        dense.forwardWeightingInto(probe, f2);
-        sparse.backwardWeightingInto(probe, b1);
-        dense.backwardWeightingInto(probe, b2);
-        EXPECT_TRUE(f1 == f2);
-        EXPECT_TRUE(b1 == b2);
+        Vector f, b;
+        sparse.forwardWeightingInto(probe, f);
+        sparse.backwardWeightingInto(probe, b);
+        EXPECT_TRUE(f == oracle::matVec(denseLink, probe));
+        EXPECT_TRUE(b == oracle::matTVec(denseLink, probe));
 
         // The cache itself matches a fresh recompute of the matrix in
         // the canonical lane order, bit for bit.
@@ -295,8 +297,8 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
                 << "row " << i;
 
         sparse.updatePrecedence(w, &profSparse);
-        dense.updatePrecedence(w);
-        EXPECT_TRUE(sparse.precedence() == dense.precedence());
+        oracle::updatePrecedence(densePrec, w);
+        EXPECT_TRUE(sparse.precedence() == densePrec);
     }
     // The pattern must actually exercise skipping, or this test proves
     // nothing about the sparse path.
@@ -417,7 +419,7 @@ expectRestoreBitIdentical(Index n, Index heads, WritePattern writes)
             victim.updatePrecedence(w);
         }
 
-        victim.restoreState(flat, prec);
+        victim.restoreState(flat, prec, undisturbed.touchedSlots());
         ASSERT_TRUE(victim.linkage() == undisturbed.linkage());
         ASSERT_TRUE(victim.precedence() == undisturbed.precedence());
         // The rebuilt cache is bit-identical to the incrementally

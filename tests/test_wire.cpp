@@ -809,39 +809,58 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
 
 TEST(WireVersionSkew, V6PeerIsRejectedAtTheHandshakeAndStepFrames)
 {
-    // v7 changed the handshake body and the LaneStep entry layout, so a
-    // v6 peer must fail closed at peekType and at every decoder that
-    // would otherwise misread its frames.
+    // v7 changed the handshake body and the LaneStep entry layout, and
+    // v8 the handshake body and the checkpoint tile body, so a v6 or v7
+    // peer must fail closed at peekType and at every decoder that would
+    // otherwise misread its frames.
+    ASSERT_EQ(kWireVersion, 8u);
     const DncConfig cfg = shardCfg();
-    WireWriter w;
-    encodeHello(WireConfig::fromShard(cfg, 2), w);
-    std::vector<std::uint8_t> frame = w.buffer();
-    ASSERT_EQ(kWireVersion, 7u);
-    frame[2] = 6;
-    MsgType type;
-    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
-    WireConfig got;
-    EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
-
     const InterfaceVector iface = sampleIface(cfg, 61);
-    const LaneStepEntry entries[] = {{0, 0b1, &iface}};
-    encodeLaneStep(1, false, entries, 1, w);
-    frame = w.buffer();
-    frame[2] = 6;
-    LaneStepMsg step;
-    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
-    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, step));
+    std::vector<std::unique_ptr<MemoryUnit>> tiles;
+    tiles.push_back(std::make_unique<MemoryUnit>(cfg));
+    for (const std::uint8_t version : {std::uint8_t(6), std::uint8_t(7)}) {
+        SCOPED_TRACE(::testing::Message() << "peer v" << int(version));
+        WireWriter w;
+        encodeHello(WireConfig::fromShard(cfg, 2), w);
+        std::vector<std::uint8_t> frame = w.buffer();
+        frame[2] = version;
+        MsgType type;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+        WireConfig got;
+        EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
 
-    const std::uint32_t lanes[] = {0};
-    std::vector<MemoryReadout> readouts(1);
-    readouts[0].readVectors.assign(cfg.readHeads, Vector(cfg.memoryWidth));
-    const std::vector<Real> confidence(cfg.readHeads, 0.0);
-    encodeLaneStepReply(1, false, lanes, 1, 1, readouts, confidence, cfg, w);
-    frame = w.buffer();
-    frame[2] = 6;
-    LaneStepReplyMsg reply;
-    EXPECT_FALSE(
-        decodeLaneStepReply(frame.data(), frame.size(), cfg, 1, 1, reply));
+        const LaneStepEntry entries[] = {{0, 0b1, &iface}};
+        encodeLaneStep(1, false, entries, 1, w);
+        frame = w.buffer();
+        frame[2] = version;
+        LaneStepMsg step;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+        EXPECT_FALSE(
+            decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, step));
+
+        const std::uint32_t lanes[] = {0};
+        std::vector<MemoryReadout> readouts(1);
+        readouts[0].readVectors.assign(cfg.readHeads,
+                                       Vector(cfg.memoryWidth));
+        const std::vector<Real> confidence(cfg.readHeads, 0.0);
+        encodeLaneStepReply(1, false, lanes, 1, 1, readouts, confidence,
+                            cfg, w);
+        frame = w.buffer();
+        frame[2] = version;
+        LaneStepReplyMsg reply;
+        EXPECT_FALSE(
+            decodeLaneStepReply(frame.data(), frame.size(), cfg, 1, 1, reply));
+
+        encodeCheckpointState(2, tiles, cfg, w);
+        frame = w.buffer();
+        frame[2] = version;
+        MemoryTileState snap;
+        MemoryTileState *slots[] = {&snap};
+        std::uint64_t seq = 0;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+        EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
+                                           slots, 1, seq));
+    }
 }
 
 // --------------------------------------------------------------------
@@ -954,12 +973,12 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 }
 
 // --------------------------------------------------------------------
-// v6 sparse checkpoint frames.
+// Row-sparse checkpoint tile bodies.
 //
 // Frame byte offsets used below (no transport length prefix in the
 // writer buffer): header 4 (magic u16, version u8, type u8), seq u64 at
 // 4, tile count u32 at 12, shape echo N/W/R u32s at 16/20/24, first
-// tile body at 28: [u8 encoding][u32 touchedCount][u32 slots...].
+// tile body at 28: [u32 touchedCount][u32 slots...][u32 memRows]...
 // --------------------------------------------------------------------
 
 /** One allocation-gated one-hot write (touches exactly one fresh slot). */
@@ -974,45 +993,36 @@ allocIface(const DncConfig &cfg, std::uint64_t seed)
 
 constexpr std::size_t kFirstTileOffset = 28;
 
-TEST(WireV6, SparseEncodingChosenAtEarlyEpisodeStateAndShrinksFrame)
+/** Rows of an n x width block holding a nonzero entry. */
+std::size_t
+nonzeroRows(const Vector &flat, Index n, Index width)
 {
-    const DncConfig cfg = shardCfg();
-    DncConfig denseCfg = cfg;
-    denseCfg.linkageDenseSweep = true;
+    std::size_t rows = 0;
+    for (Index i = 0; i < n; ++i)
+        for (Index c = 0; c < width; ++c)
+            if (flat[i * width + c] != 0.0) {
+                ++rows;
+                break;
+            }
+    return rows;
+}
 
-    std::vector<std::unique_ptr<MemoryUnit>> sparseTiles;
-    std::vector<std::unique_ptr<MemoryUnit>> denseTiles;
-    sparseTiles.push_back(std::make_unique<MemoryUnit>(cfg));
-    denseTiles.push_back(std::make_unique<MemoryUnit>(denseCfg));
-    MemoryReadout out;
-    for (int step = 0; step < 3; ++step) {
-        const InterfaceVector iface = allocIface(cfg, 40 + step);
-        sparseTiles[0]->stepInto(iface, out);
-        denseTiles[0]->stepInto(iface, out);
-    }
+/** Byte size of one tile body holding `state` (see encodeCheckpointState). */
+std::size_t
+tileBodyBytes(const MemoryTileState &state, const DncConfig &cfg)
+{
+    const std::size_t n = cfg.memoryRows;
+    const std::size_t w = cfg.memoryWidth;
+    const std::size_t r = cfg.readHeads;
+    return 12 + 4 * state.touchedSlots.size() +
+           nonzeroRows(state.memory, n, w) * (4 + 8 * w) +
+           nonzeroRows(state.linkage, n, n) * (4 + 8 * n) + 8 * n * (3 + r);
+}
 
-    WireWriter sparseFrame, denseFrame;
-    encodeCheckpointState(9, sparseTiles, cfg, sparseFrame);
-    encodeCheckpointState(9, denseTiles, denseCfg, denseFrame);
-
-    // 3 of 16 memory/linkage rows hold mass: sparse must win by bytes;
-    // the dense escape must force encoding 0 regardless.
-    EXPECT_EQ(sparseFrame.buffer()[kFirstTileOffset], 1u);
-    EXPECT_EQ(denseFrame.buffer()[kFirstTileOffset], 0u);
-    EXPECT_LT(sparseFrame.buffer().size(), denseFrame.buffer().size());
-
-    // The sparse frame decodes to the exact captured state (row norms
-    // rebuilt, touched set carried) and restores a bit-exact replica.
-    MemoryTileState decoded;
-    MemoryTileState *slots[] = {&decoded};
-    std::uint64_t seq = 0;
-    ASSERT_TRUE(decodeCheckpointState(sparseFrame.buffer().data(),
-                                      sparseFrame.buffer().size(), cfg,
-                                      slots, 1, seq));
-    EXPECT_EQ(seq, 9u);
-
-    MemoryTileState captured;
-    sparseTiles[0]->captureState(captured);
+void
+expectStatesEqual(const MemoryTileState &decoded,
+                  const MemoryTileState &captured)
+{
     EXPECT_TRUE(decoded.memory == captured.memory);
     EXPECT_TRUE(decoded.rowNorms == captured.rowNorms);
     EXPECT_TRUE(decoded.usage == captured.usage);
@@ -1023,13 +1033,19 @@ TEST(WireV6, SparseEncodingChosenAtEarlyEpisodeStateAndShrinksFrame)
     for (Index h = 0; h < decoded.readWeightings.size(); ++h)
         EXPECT_TRUE(decoded.readWeightings[h] == captured.readWeightings[h]);
     EXPECT_EQ(decoded.touchedSlots, captured.touchedSlots);
+}
 
+/** Restore a replica from `decoded` and lockstep it with `live`. */
+void
+expectReplicaLocksteps(MemoryUnit &live, const MemoryTileState &decoded,
+                       const DncConfig &cfg, std::uint64_t seed)
+{
     MemoryUnit replica(cfg);
     replica.restoreState(decoded);
     MemoryReadout a, b;
     for (int step = 0; step < 4; ++step) {
-        const InterfaceVector iface = sampleIface(cfg, 90 + step);
-        sparseTiles[0]->stepInto(iface, a);
+        const InterfaceVector iface = sampleIface(cfg, seed + step);
+        live.stepInto(iface, a);
         replica.stepInto(iface, b);
         for (Index h = 0; h < cfg.readHeads; ++h)
             EXPECT_TRUE(a.readVectors[h] == b.readVectors[h])
@@ -1038,32 +1054,107 @@ TEST(WireV6, SparseEncodingChosenAtEarlyEpisodeStateAndShrinksFrame)
     }
 }
 
-TEST(WireV6, DenseEncodingFallsBackOnceActiveSetIsLarge)
+TEST(WireV8, EarlyEpisodeBodyShipsOnlyNonzeroRows)
 {
     const DncConfig cfg = shardCfg();
     std::vector<std::unique_ptr<MemoryUnit>> tiles;
     tiles.push_back(std::make_unique<MemoryUnit>(cfg));
     MemoryReadout out;
-    // Soft writes touch every row: per-row index overhead makes the
-    // sparse encoding larger, so the encoder must pick dense.
-    for (int step = 0; step < 4; ++step)
-        tiles[0]->stepInto(sampleIface(cfg, 60 + step), out);
+    for (int step = 0; step < 3; ++step)
+        tiles[0]->stepInto(allocIface(cfg, 40 + step), out);
 
     WireWriter frame;
-    encodeCheckpointState(3, tiles, cfg, frame);
-    EXPECT_EQ(frame.buffer()[kFirstTileOffset], 0u);
+    encodeCheckpointState(9, tiles, cfg, frame);
 
+    // 3 of 16 memory rows and 2 linkage rows hold mass: the body ships
+    // exactly those rows plus the raw usage/precedence/weightings.
+    MemoryTileState captured;
+    tiles[0]->captureState(captured);
+    EXPECT_EQ(captured.touchedSlots.size(), 3u);
+    EXPECT_EQ(nonzeroRows(captured.memory, cfg.memoryRows,
+                          cfg.memoryWidth),
+              3u);
+    EXPECT_EQ(nonzeroRows(captured.linkage, cfg.memoryRows, cfg.memoryRows),
+              2u);
+    EXPECT_EQ(frame.buffer().size(),
+              kFirstTileOffset + tileBodyBytes(captured, cfg));
+
+    // The frame decodes to the exact captured state (row norms rebuilt,
+    // touched set carried) and restores a bit-exact replica.
     MemoryTileState decoded;
     MemoryTileState *slots[] = {&decoded};
     std::uint64_t seq = 0;
     ASSERT_TRUE(decodeCheckpointState(frame.buffer().data(),
                                       frame.buffer().size(), cfg, slots, 1,
                                       seq));
-    MemoryTileState captured;
-    tiles[0]->captureState(captured);
-    EXPECT_TRUE(decoded.memory == captured.memory);
-    EXPECT_TRUE(decoded.rowNorms == captured.rowNorms);
-    EXPECT_EQ(decoded.touchedSlots, captured.touchedSlots);
+    EXPECT_EQ(seq, 9u);
+    expectStatesEqual(decoded, captured);
+    expectReplicaLocksteps(*tiles[0], decoded, cfg, 90);
+}
+
+/**
+ * The worst case of the one tile body: every memory and linkage row
+ * holds mass and every slot is touched. Each frame must round-trip
+ * bit-exactly and fit the shm slot sized for its shape, in a one-tile
+ * frame and in a multi-tile, multi-lane one.
+ */
+TEST(WireV8, SaturatedTileRoundTripsAndFitsItsShmSlot)
+{
+    struct Shape
+    {
+        Index hosted;
+        Index lanes;
+    };
+    for (Index rows : {Index(16), Index(128)}) {
+        DncConfig cfg = shardCfg();
+        cfg.memoryRows = rows;
+        for (const Shape shape : {Shape{1, 1}, Shape{2, 3}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "N=" << rows << " hosted=" << shape.hosted
+                         << " lanes=" << shape.lanes);
+            const Index count = shape.hosted * shape.lanes;
+            std::vector<std::unique_ptr<MemoryUnit>> tiles;
+            for (Index t = 0; t < count; ++t)
+                tiles.push_back(std::make_unique<MemoryUnit>(cfg));
+            MemoryReadout out;
+            for (int step = 0; step < 4; ++step)
+                for (Index t = 0; t < count; ++t)
+                    tiles[t]->stepInto(sampleIface(cfg, 60 + 7 * t + step),
+                                       out);
+
+            WireWriter frame;
+            encodeCheckpointState(3, tiles, cfg, frame);
+
+            std::vector<MemoryTileState> captured(count);
+            std::size_t expectedBytes = kFirstTileOffset;
+            for (Index t = 0; t < count; ++t) {
+                tiles[t]->captureState(captured[t]);
+                ASSERT_EQ(captured[t].touchedSlots.size(), rows);
+                ASSERT_EQ(nonzeroRows(captured[t].memory, rows,
+                                      cfg.memoryWidth),
+                          rows);
+                ASSERT_EQ(nonzeroRows(captured[t].linkage, rows, rows), rows);
+                expectedBytes += tileBodyBytes(captured[t], cfg);
+            }
+            EXPECT_EQ(frame.buffer().size(), expectedBytes);
+            EXPECT_LE(frame.buffer().size(),
+                      shmSlotBytesFor(cfg, shape.hosted, shape.hosted,
+                                      shape.lanes));
+
+            std::vector<MemoryTileState> decoded(count);
+            std::vector<MemoryTileState *> slots;
+            for (MemoryTileState &d : decoded)
+                slots.push_back(&d);
+            std::uint64_t seq = 0;
+            ASSERT_TRUE(decodeCheckpointState(frame.buffer().data(),
+                                              frame.buffer().size(), cfg,
+                                              slots.data(), count, seq));
+            for (Index t = 0; t < count; ++t) {
+                expectStatesEqual(decoded[t], captured[t]);
+                expectReplicaLocksteps(*tiles[t], decoded[t], cfg, 90 + t);
+            }
+        }
+    }
 }
 
 TEST(WireV6Malformed, SparseFrameValidationFailsClosed)
@@ -1077,7 +1168,6 @@ TEST(WireV6Malformed, SparseFrameValidationFailsClosed)
 
     WireWriter w;
     encodeCheckpointState(7, tiles, cfg, w);
-    ASSERT_EQ(w.buffer()[kFirstTileOffset], 1u) << "sparse frame expected";
 
     MemoryTileState snap;
     MemoryTileState *slots[] = {&snap};
@@ -1085,15 +1175,9 @@ TEST(WireV6Malformed, SparseFrameValidationFailsClosed)
     ASSERT_TRUE(decodeCheckpointState(w.buffer().data(), w.buffer().size(),
                                       cfg, slots, 1, seq));
 
-    // Unknown encoding byte.
-    std::vector<std::uint8_t> frame = w.buffer();
-    frame[kFirstTileOffset] = 2;
-    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
-                                       slots, 1, seq));
-
     // Touched-slot index out of range (low byte of the first u32 slot).
-    frame = w.buffer();
-    frame[kFirstTileOffset + 5] = 0xFF;
+    std::vector<std::uint8_t> frame = w.buffer();
+    frame[kFirstTileOffset + 4] = 0xFF;
     EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
                                        slots, 1, seq));
 
@@ -1101,7 +1185,19 @@ TEST(WireV6Malformed, SparseFrameValidationFailsClosed)
     // first (strictly-ascending check must reject equality too).
     frame = w.buffer();
     for (int i = 0; i < 4; ++i)
-        frame[kFirstTileOffset + 9 + i] = frame[kFirstTileOffset + 5 + i];
+        frame[kFirstTileOffset + 8 + i] = frame[kFirstTileOffset + 4 + i];
+    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
+                                       slots, 1, seq));
+
+    // The memory-row section follows the 3 touched slots: its count
+    // is capped by N, and its first row index must be in range.
+    const std::size_t memRowsAt = kFirstTileOffset + 4 + 4 * 3;
+    frame = w.buffer();
+    frame[memRowsAt] = static_cast<std::uint8_t>(cfg.memoryRows + 1);
+    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
+                                       slots, 1, seq));
+    frame = w.buffer();
+    frame[memRowsAt + 4] = 0xFF;
     EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
                                        slots, 1, seq));
 
