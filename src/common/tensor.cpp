@@ -302,11 +302,13 @@ matVecRows(const Matrix &m, Index row0, Index row1, const Real *x,
 template <bool Accumulate>
 void
 batchedRows(const Matrix &m, Index row0, Index row1, const Vector &x,
-            Index stride, Index active, Vector &y, const char *op)
+            Index stride, Index first, Index active, Vector &y,
+            const char *op)
 {
     HIMA_ASSERT(stride >= 1, "%s: zero lane stride", op);
-    HIMA_ASSERT(active >= 1 && active <= stride,
-                "%s: active lanes %zu outside [1, %zu]", op, active, stride);
+    HIMA_ASSERT(active >= 1 && first + active <= stride,
+                "%s: lanes [%zu, %zu + %zu) outside [0, %zu)", op, first,
+                first, active, stride);
     HIMA_ASSERT(m.cols() * stride == x.size(),
                 "%s: cols %zu * stride %zu != x %zu", op, m.cols(), stride,
                 x.size());
@@ -315,8 +317,8 @@ batchedRows(const Matrix &m, Index row0, Index row1, const Vector &x,
                 stride);
     HIMA_ASSERT(row0 <= row1 && row1 <= m.rows(),
                 "%s: rows [%zu, %zu) outside %zu", op, row0, row1, m.rows());
-    matVecRows<Accumulate>(m, row0, row1, x.data(), stride, active,
-                           y.data());
+    matVecRows<Accumulate>(m, row0, row1, x.data() + first, stride, active,
+                           y.data() + first);
 }
 
 } // namespace
@@ -325,13 +327,13 @@ void
 matVecInto(const Matrix &m, const Vector &x, Vector &y)
 {
     y.resize(m.rows());
-    batchedRows<false>(m, 0, m.rows(), x, 1, 1, y, "matVecInto");
+    batchedRows<false>(m, 0, m.rows(), x, 1, 0, 1, y, "matVecInto");
 }
 
 void
 matVecAccumulate(const Matrix &m, const Vector &x, Vector &y)
 {
-    batchedRows<true>(m, 0, m.rows(), x, 1, 1, y, "matVecAccumulate");
+    batchedRows<true>(m, 0, m.rows(), x, 1, 0, 1, y, "matVecAccumulate");
 }
 
 void
@@ -440,7 +442,7 @@ batchedMatVecInto(const Matrix &m, const Vector &x, Index laneStride,
                   Index activeLanes, Vector &y)
 {
     y.resize(m.rows() * laneStride);
-    batchedRows<false>(m, 0, m.rows(), x, laneStride, activeLanes, y,
+    batchedRows<false>(m, 0, m.rows(), x, laneStride, 0, activeLanes, y,
                        "batchedMatVecInto");
 }
 
@@ -454,7 +456,7 @@ void
 batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index laneStride,
                         Index activeLanes, Vector &y)
 {
-    batchedRows<true>(m, 0, m.rows(), x, laneStride, activeLanes, y,
+    batchedRows<true>(m, 0, m.rows(), x, laneStride, 0, activeLanes, y,
                       "batchedMatVecAccumulate");
 }
 
@@ -467,20 +469,20 @@ batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
 
 void
 batchedMatVecRowsInto(const Matrix &m, Index row0, Index row1,
-                      const Vector &x, Index laneStride, Index activeLanes,
-                      Vector &y)
+                      const Vector &x, Index laneStride, Index firstLane,
+                      Index laneCount, Vector &y)
 {
-    batchedRows<false>(m, row0, row1, x, laneStride, activeLanes, y,
-                       "batchedMatVecRowsInto");
+    batchedRows<false>(m, row0, row1, x, laneStride, firstLane, laneCount,
+                       y, "batchedMatVecRowsInto");
 }
 
 void
 batchedMatVecRowsAccumulate(const Matrix &m, Index row0, Index row1,
                             const Vector &x, Index laneStride,
-                            Index activeLanes, Vector &y)
+                            Index firstLane, Index laneCount, Vector &y)
 {
-    batchedRows<true>(m, row0, row1, x, laneStride, activeLanes, y,
-                      "batchedMatVecRowsAccumulate");
+    batchedRows<true>(m, row0, row1, x, laneStride, firstLane, laneCount,
+                      y, "batchedMatVecRowsAccumulate");
 }
 
 void

@@ -250,7 +250,8 @@ void matMulInto(const Matrix &a, const Matrix &b, Matrix &out);
 // compacted into the leading columns, so a partially occupied batch
 // sweeps only `activeLanes` columns — no flop is spent on padding. The
 // (m, x, lanes, y) convenience forms below are the fully-occupied case
-// (activeLanes == laneStride).
+// (activeLanes == laneStride); the row-range forms take a first lane as
+// well, for engines that step one column range of the prefix at a time.
 //
 // All mat-vecs, single-lane and batched, share one kernel: each pass
 // computes 8 output rows x up to kBatchLaneChunk lanes, every
@@ -259,9 +260,10 @@ void matMulInto(const Matrix &a, const Matrix &b, Matrix &out);
 // nothing past activeLanes is touched); a lone active lane, and every
 // lane of a build without AVX2, runs eight scalar chains at any stride.
 //
-// laneBroadcastAdd/laneAxpy have no engine callers yet (BatchedDnc
-// fuses its bias adds); they complete the kernel API for batched heads
-// with biases and are pinned by the same per-lane unit tests.
+// laneBroadcastAdd/laneAxpy have no engine callers yet
+// (BatchedController fuses its bias adds); they complete the kernel API
+// for batched heads with biases and are pinned by the same per-lane
+// unit tests.
 // ---------------------------------------------------------------------
 
 /**
@@ -301,19 +303,24 @@ void batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
                              Vector &y);
 
 /**
- * Row-range batched y = M x: batchedMatVecInto restricted to output
- * rows [row0, row1). y must already hold rows(M) * laneStride values;
- * rows outside the range and inactive columns are untouched. Pool
- * tasks that own disjoint row blocks of one product call this.
+ * Row- and lane-range batched y = M x: batchedMatVecInto restricted to
+ * output rows [row0, row1) and lanes [firstLane, firstLane + laneCount).
+ * y must already hold rows(M) * laneStride values; rows and lanes
+ * outside the ranges are untouched. Pool tasks that own disjoint row
+ * blocks of one product, and engines that step one column range of
+ * their lanes while another range is elsewhere, call this. The lane
+ * range only offsets the kernel's base pointers, so each lane's chain
+ * is the one it gets at any other offset.
  */
 void batchedMatVecRowsInto(const Matrix &m, Index row0, Index row1,
                            const Vector &x, Index laneStride,
-                           Index activeLanes, Vector &y);
+                           Index firstLane, Index laneCount, Vector &y);
 
-/** Row-range batched y += M x (batchedMatVecAccumulate on [row0, row1)). */
+/** Ranged batched y += M x (batchedMatVecAccumulate on the ranges). */
 void batchedMatVecRowsAccumulate(const Matrix &m, Index row0, Index row1,
                                  const Vector &x, Index laneStride,
-                                 Index activeLanes, Vector &y);
+                                 Index firstLane, Index laneCount,
+                                 Vector &y);
 
 /**
  * Broadcast-add a per-row bias across the active lanes:

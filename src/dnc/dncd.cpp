@@ -49,8 +49,13 @@ tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
 void
 ConfidenceGate::reset()
 {
-    lastAlphas_.clear();
-    prevAlphas_.clear();
+    // Empty rows mean "no history" to selectHeads(); keeping the rows
+    // (and their storage) lets an admitted lane's first steps run
+    // without reallocating them.
+    for (std::vector<Real> &row : lastAlphas_)
+        row.clear();
+    for (std::vector<Real> &row : prevAlphas_)
+        row.clear();
     scoredHeads_.clear();
 }
 

@@ -10,6 +10,22 @@ namespace hima {
 // ShardedDnc
 // --------------------------------------------------------------------
 
+namespace {
+
+/** A tile backend must host the shapes the controller emits for. */
+void
+checkBackendShapes(const DncConfig &config, const DncConfig &mem,
+                   const char *who)
+{
+    HIMA_ASSERT(mem.memoryRows == config.memoryRows &&
+                    mem.memoryWidth == config.memoryWidth &&
+                    mem.readHeads == config.readHeads &&
+                    mem.fixedPoint == config.fixedPoint,
+                "%s: tile backend shapes diverge from config", who);
+}
+
+} // namespace
+
 ShardedDnc::ShardedDnc(const DncConfig &config, std::uint64_t seed,
                        std::unique_ptr<TileMemory> memory)
     : config_(config), rng_(seed), controller_(config, rng_),
@@ -17,12 +33,7 @@ ShardedDnc::ShardedDnc(const DncConfig &config, std::uint64_t seed,
       lastReads_(config.readHeads, Vector(config.memoryWidth))
 {
     HIMA_ASSERT(memory_ != nullptr, "ShardedDnc: null tile backend");
-    const DncConfig &mem = memory_->globalConfig();
-    HIMA_ASSERT(mem.memoryRows == config_.memoryRows &&
-                    mem.memoryWidth == config_.memoryWidth &&
-                    mem.readHeads == config_.readHeads &&
-                    mem.fixedPoint == config_.fixedPoint,
-                "ShardedDnc: tile backend shapes diverge from config");
+    checkBackendShapes(config_, memory_->globalConfig(), "ShardedDnc");
 }
 
 void
@@ -70,75 +81,62 @@ ShardedDnc::beginEpisode()
 ShardedLaneEngine::ShardedLaneEngine(const DncConfig &config,
                                      std::uint64_t seed,
                                      const BackendFactory &factory)
-    : config_(config)
+    : config_(config), controller_(config, seed),
+      readouts_(config.batchSize)
 {
     HIMA_ASSERT(static_cast<bool>(factory),
                 "ShardedLaneEngine: null backend factory");
-    lanes_.reserve(config_.batchSize);
-    for (Index lane = 0; lane < config_.batchSize; ++lane)
-        lanes_.push_back(
-            std::make_unique<ShardedDnc>(config_, seed, factory(lane)));
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
+    backends_.reserve(config_.batchSize);
+    for (Index lane = 0; lane < config_.batchSize; ++lane) {
+        backends_.push_back(factory(lane));
+        HIMA_ASSERT(backends_.back() != nullptr,
+                    "ShardedLaneEngine: null tile backend");
+        checkBackendShapes(config_, backends_.back()->globalConfig(),
+                           "ShardedLaneEngine");
+    }
 }
 
 void
 ShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
                             std::vector<Vector> &outputs)
 {
-    HIMA_ASSERT(inputs.size() == states_.size(),
+    HIMA_ASSERT(inputs.size() == capacity(),
                 "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            lanes_[slot]->stepInto(inputs[slot], outputs[slot]);
+    outputs.resize(capacity());
+    const Index active = controller_.activeLanes();
+    if (active == 0)
+        return;
+
+    {
+        obs::TraceSpan span("shard.controller_compute", active);
+        controller_.stepControllers(inputs, 0, active);
+    }
+    // Each lane's tile round trip, in column order: lanes are
+    // independent, so only the work between lanes is reordered.
+    for (Index c = 0; c < active; ++c) {
+        const Index slot = controller_.slotAt(c);
+        backends_[slot]->stepInterfaceInto(controller_.laneInterface(slot),
+                                           readouts_[slot]);
+        controller_.storeReads(c, readouts_[slot].readVectors);
+    }
+    obs::TraceSpan span("shard.output_head", active);
+    controller_.outputInto(0, active, outputs);
 }
 
 Index
 ShardedLaneEngine::admit()
 {
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    lanes_[slot]->beginEpisode();
-    states_[slot] = LaneState::Active;
-    ++active_;
+    const Index slot = controller_.admit();
+    backends_[slot]->beginEpisode();
     return slot;
-}
-
-void
-ShardedLaneEngine::markDraining(Index slot)
-{
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
-}
-
-void
-ShardedLaneEngine::release(Index slot)
-{
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
 }
 
 void
 ShardedLaneEngine::reset()
 {
-    for (auto &lane : lanes_)
-        lane->reset();
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
+    controller_.reset();
+    for (auto &backend : backends_)
+        backend->reset();
 }
 
 // --------------------------------------------------------------------
@@ -150,94 +148,81 @@ PipelinedShardedLaneEngine::PipelinedShardedLaneEngine(
     std::shared_ptr<ShardLaneGroup> group, Index lanesPerBatch)
     : config_(config), group_(std::move(group)),
       lanesPerBatch_(lanesPerBatch != 0 ? lanesPerBatch
-                                        : config.shardLanesPerBatch)
+                                        : config.shardLanesPerBatch),
+      controller_(config, seed), readouts_(config.batchSize)
 {
     HIMA_ASSERT(group_ != nullptr, "null shard lane group");
     HIMA_ASSERT(group_->lanes() == config_.batchSize,
                 "group hosts %zu lanes but batchSize is %zu",
                 group_->lanes(), config_.batchSize);
-    const DncConfig &mem = group_->globalConfig();
-    HIMA_ASSERT(mem.memoryRows == config_.memoryRows &&
-                    mem.memoryWidth == config_.memoryWidth &&
-                    mem.readHeads == config_.readHeads &&
-                    mem.fixedPoint == config_.fixedPoint,
-                "shard fleet shapes diverge from config");
+    checkBackendShapes(config_, group_->globalConfig(),
+                       "PipelinedShardedLaneEngine");
+    batchLanes_.reserve(config_.batchSize);
+    batchIfaces_.reserve(config_.batchSize);
+    batchOuts_.reserve(config_.batchSize);
+}
 
-    // One controller per lane, each drawn exactly like
-    // ShardedDnc(config, seed)'s so dedicated reference runs share the
-    // weights bit for bit.
-    for (Index lane = 0; lane < config_.batchSize; ++lane) {
-        Rng rng(seed);
-        controllers_.push_back(std::make_unique<Controller>(config_, rng));
-        lastReads_.emplace_back(config_.readHeads,
-                                Vector(config_.memoryWidth));
+void
+PipelinedShardedLaneEngine::sortBatchSlots(Index first, Index count)
+{
+    // Compaction leaves slots in any column order; an insertion sort
+    // over a batch (a handful of lanes) restores the ascending lane ids
+    // the scatter requires, without allocating.
+    batchLanes_.clear();
+    for (Index c = first; c < first + count; ++c) {
+        batchLanes_.push_back(controller_.slotAt(c));
+        for (Index j = batchLanes_.size() - 1;
+             j > 0 && batchLanes_[j - 1] > batchLanes_[j]; --j)
+            std::swap(batchLanes_[j - 1], batchLanes_[j]);
     }
-    readouts_.resize(config_.batchSize);
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
 }
 
 void
 PipelinedShardedLaneEngine::finishBatch(Index first, Index count,
                                         std::vector<Vector> &outputs)
 {
+    sortBatchSlots(first, count);
     batchOuts_.clear();
-    for (Index j = 0; j < count; ++j)
-        batchOuts_.push_back(&readouts_[activeScratch_[first + j]]);
+    for (Index slot : batchLanes_)
+        batchOuts_.push_back(&readouts_[slot]);
     group_->gather(batchOuts_);
-    for (Index j = 0; j < count; ++j) {
-        const Index slot = activeScratch_[first + j];
-        for (Index head = 0; head < config_.readHeads; ++head)
-            std::copy(readouts_[slot].readVectors[head].begin(),
-                      readouts_[slot].readVectors[head].end(),
-                      lastReads_[slot][head].begin());
-        controllers_[slot]->outputInto(lastReads_[slot], outputs[slot]);
-    }
+    for (Index c = first; c < first + count; ++c)
+        controller_.storeReads(
+            c, readouts_[controller_.slotAt(c)].readVectors);
+    obs::TraceSpan span("shard.output_head", count);
+    controller_.outputInto(first, count, outputs);
 }
 
 void
 PipelinedShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
                                      std::vector<Vector> &outputs)
 {
-    HIMA_ASSERT(inputs.size() == states_.size(),
+    HIMA_ASSERT(inputs.size() == capacity(),
                 "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    activeScratch_.clear();
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            activeScratch_.push_back(slot);
-    const Index total = activeScratch_.size();
+    outputs.resize(capacity());
+    const Index total = controller_.activeLanes();
     if (total == 0)
         return;
     const Index k =
         lanesPerBatch_ == 0 ? total : std::min(lanesPerBatch_, total);
 
-    // The software pipeline: scatter batch b, then — while its round
-    // trip is in flight — gather batch b-1 and emit its outputs. Each
-    // lane's own controller -> tiles -> merge -> output order is
-    // untouched, so per-lane results cannot depend on the overlap.
+    // The software pipeline: step and scatter batch b, then — while its
+    // round trip is in flight — gather batch b-1 and emit its outputs.
+    // Batches are disjoint column ranges and each lane's own
+    // controller -> tiles -> merge -> output order is untouched, so
+    // per-lane results cannot depend on the overlap.
     Index prevFirst = 0;
     Index prevCount = 0;
     for (Index first = 0; first < total; first += k) {
         const Index count = std::min(k, total - first);
-        batchLanes_.clear();
-        batchIfaces_.clear();
         {
             obs::TraceSpan span("shard.controller_compute", count);
-            for (Index j = 0; j < count; ++j) {
-                const Index slot = activeScratch_[first + j];
-                // stepInto returns a reference into controller-owned
-                // storage; distinct slots use distinct controllers, so
-                // all of a batch's interfaces stay live until the
-                // scatter.
-                const InterfaceVector &iface =
-                    controllers_[slot]->stepInto(inputs[slot],
-                                                 lastReads_[slot]);
-                batchLanes_.push_back(slot);
-                batchIfaces_.push_back(&iface);
-            }
+            controller_.stepControllers(inputs, first, count);
         }
+        sortBatchSlots(first, count);
+        batchIfaces_.clear();
+        for (Index slot : batchLanes_)
+            batchIfaces_.push_back(&controller_.laneInterface(slot));
         group_->scatter(batchLanes_, batchIfaces_);
         if (prevCount > 0)
             finishBatch(prevFirst, prevCount, outputs);
@@ -250,54 +235,16 @@ PipelinedShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
 Index
 PipelinedShardedLaneEngine::admit()
 {
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    controllers_[slot]->reset();
-    for (auto &rv : lastReads_[slot])
-        rv.fill(0.0);
+    const Index slot = controller_.admit();
     group_->admitLane(slot);
-    states_[slot] = LaneState::Active;
-    ++active_;
     return slot;
-}
-
-void
-PipelinedShardedLaneEngine::markDraining(Index slot)
-{
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
-}
-
-void
-PipelinedShardedLaneEngine::release(Index slot)
-{
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
 }
 
 void
 PipelinedShardedLaneEngine::reset()
 {
     group_->resetAll();
-    for (Index slot = 0; slot < states_.size(); ++slot) {
-        controllers_[slot]->reset();
-        for (auto &rv : lastReads_[slot])
-            rv.fill(0.0);
-    }
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
+    controller_.reset();
 }
 
 } // namespace hima

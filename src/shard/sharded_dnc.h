@@ -7,26 +7,36 @@
  * the LSTM and projection heads live with the request front-end, the
  * memory tiles live wherever capacity is (threads, processes, hosts),
  * and only interface vectors and merged read vectors cross the
- * boundary.
+ * boundary. ShardedDnc is the single-lane reference the serving
+ * engines below are proven against.
  *
- * ShardedLaneEngine lifts capacity-many ShardedDnc instances behind the
+ * The two serving engines lift capacity-many lanes behind the
  * LaneEngine surface, so the dynamic-batching Router (src/serve/) can
- * route an arrival process onto a sharded fleet unchanged. Each lane
- * owns its backend (any TileMemory — over the wire, a ShardCoordinator,
- * i.e. a one-lane ShardLaneGroup stepped with a window of one); admit()
- * maps to the wire's Admit control, which episode-resets the lane's
- * remote tiles in place.
+ * route an arrival process onto a sharded fleet unchanged. Both keep
+ * one batched controller per lane group (serve/batched_controller.h):
+ * one shared weight set streamed once across a column range of the
+ * lanes, the same component BatchedDnc steps, which also owns the lane
+ * lifecycle. Only the memory side differs:
  *
- * PipelinedShardedLaneEngine is the overlapped variant on the same
- * coordinator code: every lane lives on one shared ShardLaneGroup
- * fleet (shard/pipeline.h), steps travel as lane-batched frames
- * (DncConfig::shardLanesPerBatch lanes per worker round trip), and the
- * engine runs a double-buffered step window — batch B's controllers
- * compute while batch A's tile round trip is in flight. Lanes are independent, so each lane's
- * controller -> tiles -> merge -> output chain is untouched and the
- * engine stays bit-identical per lane to dedicated ShardedDnc runs
- * (proven in tests/test_shard.cpp). The Router drives it through the
- * same LaneEngine surface, unchanged.
+ *   - ShardedLaneEngine gives each lane its own backend (any
+ *     TileMemory — over the wire, a ShardCoordinator, i.e. a one-lane
+ *     ShardLaneGroup stepped with a window of one). A step runs every
+ *     active lane's controller, then each lane's tile round trip, then
+ *     the output head; admit() maps to the wire's Admit control, which
+ *     episode-resets the lane's remote tiles in place.
+ *
+ *   - PipelinedShardedLaneEngine puts every lane on one shared
+ *     ShardLaneGroup fleet (shard/pipeline.h): steps travel as
+ *     lane-batched frames (DncConfig::shardLanesPerBatch lanes per
+ *     worker round trip), and the engine runs a double-buffered step
+ *     window — one batched controller step per batch of columns, issued
+ *     while the previous batch's tile round trip is in flight.
+ *
+ * Lanes are independent, so each lane's controller -> tiles -> merge ->
+ * output chain is untouched by batching or overlap, and both engines
+ * stay bit-identical per lane to dedicated ShardedDnc runs (proven in
+ * tests/test_shard.cpp). Neither engine starts a thread of its own:
+ * the controller steps on the calling thread.
  */
 
 #ifndef HIMA_SHARD_SHARDED_DNC_H
@@ -37,6 +47,7 @@
 #include <vector>
 
 #include "dnc/dncd.h"
+#include "serve/batched_controller.h"
 #include "serve/engine.h"
 #include "shard/pipeline.h"
 
@@ -89,11 +100,11 @@ class ShardedDnc
 };
 
 /**
- * capacity-many ShardedDnc lanes behind the LaneEngine surface. Lanes
- * are independent models (each with its own tile backend), so there is
- * no SoA weight streaming here — the point is placement: lane state
- * lives on the shard workers, and the Router's dynamic batching,
- * admission and back-pressure apply to a distributed fleet unchanged.
+ * capacity-many sharded lanes behind the LaneEngine surface, each lane
+ * with its own tile backend: lane state lives on the shard workers, and
+ * the Router's dynamic batching, admission and back-pressure apply to a
+ * distributed fleet unchanged. The controllers are one
+ * BatchedController, stepped over every active column at once.
  */
 class ShardedLaneEngine final : public LaneEngine
 {
@@ -104,7 +115,8 @@ class ShardedLaneEngine final : public LaneEngine
 
     /**
      * @param config  shapes + serving knobs; batchSize = lane count
-     * @param seed    controller weight seed, shared by every lane
+     * @param seed    controller weight seed, shared by every lane (the
+     *                same draw as ShardedDnc(config, seed))
      * @param factory called once per lane at construction
      */
     ShardedLaneEngine(const DncConfig &config, std::uint64_t seed,
@@ -113,43 +125,41 @@ class ShardedLaneEngine final : public LaneEngine
     void stepInto(const std::vector<Vector> &inputs,
                   std::vector<Vector> &outputs) override;
     Index admit() override;
-    void markDraining(Index slot) override;
-    void release(Index slot) override;
+    void markDraining(Index slot) override
+    {
+        controller_.markDraining(slot);
+    }
+    void release(Index slot) override { controller_.release(slot); }
     LaneState laneState(Index slot) const override
     {
-        return states_[slot];
+        return controller_.laneState(slot);
     }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
+    Index activeLanes() const override { return controller_.activeLanes(); }
+    Index drainingLanes() const override
     {
-        return states_.size() - active_ - draining_;
+        return controller_.drainingLanes();
     }
-    Index capacity() const override { return states_.size(); }
+    Index freeLanes() const override { return controller_.freeLanes(); }
+    Index capacity() const override { return controller_.capacity(); }
     void reset() override;
     const DncConfig &config() const override { return config_; }
 
-    ShardedDnc &lane(Index slot) { return *lanes_[slot]; }
-    const ShardedDnc &lane(Index slot) const { return *lanes_[slot]; }
-
   private:
     DncConfig config_;
-    std::vector<std::unique_ptr<ShardedDnc>> lanes_;
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
+    BatchedController controller_;
+    std::vector<std::unique_ptr<TileMemory>> backends_; ///< per slot
+    std::vector<MemoryReadout> readouts_;               ///< per slot
 };
 
 /**
  * The software-pipelined sharded serving engine: config.batchSize lanes
- * on one shared ShardLaneGroup fleet. stepInto() partitions the active
- * lanes into batches of `lanesPerBatch` and overlaps batch b's
- * controller compute with batch b-1's in-flight tile round trips
- * (ShardLaneGroup's double-buffered window); admit() maps to the
- * wire's per-lane Admit control, so recycling one lane never disturbs
- * its fleet neighbours. Zero steady-state allocations, like every
- * serving loop here.
+ * on one shared ShardLaneGroup fleet. stepInto() cuts the active column
+ * prefix into batches of `lanesPerBatch` columns and steps batch b's
+ * controllers (one batched step) and scatters it before gathering
+ * batch b-1 and running its output head (ShardLaneGroup's
+ * double-buffered window); admit() maps to the wire's per-lane Admit
+ * control, so recycling one lane never disturbs its fleet neighbours.
+ * Zero steady-state allocations, like every serving loop here.
  */
 class PipelinedShardedLaneEngine final : public LaneEngine
 {
@@ -173,19 +183,22 @@ class PipelinedShardedLaneEngine final : public LaneEngine
     void stepInto(const std::vector<Vector> &inputs,
                   std::vector<Vector> &outputs) override;
     Index admit() override;
-    void markDraining(Index slot) override;
-    void release(Index slot) override;
+    void markDraining(Index slot) override
+    {
+        controller_.markDraining(slot);
+    }
+    void release(Index slot) override { controller_.release(slot); }
     LaneState laneState(Index slot) const override
     {
-        return states_[slot];
+        return controller_.laneState(slot);
     }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
+    Index activeLanes() const override { return controller_.activeLanes(); }
+    Index drainingLanes() const override
     {
-        return states_.size() - active_ - draining_;
+        return controller_.drainingLanes();
     }
-    Index capacity() const override { return states_.size(); }
+    Index freeLanes() const override { return controller_.freeLanes(); }
+    Index capacity() const override { return controller_.capacity(); }
     void reset() override;
     const DncConfig &config() const override { return config_; }
 
@@ -193,24 +206,24 @@ class PipelinedShardedLaneEngine final : public LaneEngine
     Index lanesPerBatch() const { return lanesPerBatch_; }
 
   private:
-    /** Gather one scattered batch and finish its lanes' outputs. */
+    /**
+     * The slots of columns [first, first + count), ascending (the
+     * order ShardLaneGroup::scatter requires), into batchLanes_.
+     */
+    void sortBatchSlots(Index first, Index count);
+
+    /** Gather one scattered batch and run its output head. */
     void finishBatch(Index first, Index count,
                      std::vector<Vector> &outputs);
 
     DncConfig config_;
     std::shared_ptr<ShardLaneGroup> group_;
     Index lanesPerBatch_; ///< 0 = all active lanes in one frame
-    std::vector<std::unique_ptr<Controller>> controllers_; ///< per slot
-    std::vector<std::vector<Vector>> lastReads_;           ///< per slot
-    std::vector<MemoryReadout> readouts_;                  ///< per slot
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
+    BatchedController controller_;
+    std::vector<MemoryReadout> readouts_; ///< per slot
 
-    // Reused step scratch.
-    std::vector<Index> activeScratch_; ///< active slots, ascending
-    std::vector<Index> batchLanes_;
+    // Reused step scratch, reserved at construction.
+    std::vector<Index> batchLanes_; ///< one batch's slots, ascending
     std::vector<const InterfaceVector *> batchIfaces_;
     std::vector<MemoryReadout *> batchOuts_;
 };

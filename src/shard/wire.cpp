@@ -968,7 +968,11 @@ decodeLaneStepReply(const std::uint8_t *data, std::size_t size,
     const Index w = shard.memoryWidth;
     const Index n = shard.memoryRows;
     msg.lanes.resize(count);
-    msg.tiles.resize(count * hostedTiles);
+    // Grow-only: shrinking would free the per-tile read vectors that a
+    // later, larger batch then reallocates, so batch sizes that vary
+    // with lane churn would allocate in the steady state.
+    if (msg.tiles.size() < count * hostedTiles)
+        msg.tiles.resize(count * hostedTiles);
     msg.confidence.resize(count * hostedTiles * r);
     for (Index j = 0; j < count; ++j) {
         msg.lanes[j] = in.u32();

@@ -261,6 +261,11 @@ struct LaneStepReplyMsg
     std::uint64_t seq = 0;
     bool hasWeightings = false;
     std::vector<std::uint32_t> lanes;
+    /**
+     * Lane j's hosted tile i at [j * hostedTiles + i]. A reused message
+     * keeps entries past lanes.size() * hostedTiles from larger earlier
+     * batches; they are stale storage, not part of this reply.
+     */
     std::vector<MemoryReadout> tiles;
     std::vector<Real> confidence;
 };

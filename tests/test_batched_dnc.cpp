@@ -5,7 +5,9 @@
  * complete per-lane state, compared with exact double equality — for
  * every combination of batch size, thread count and datapath mode, plus
  * the feature knobs that change the memory-unit fast path
- * (writeSkipThreshold, usage skimming, approximate softmax).
+ * (writeSkipThreshold, usage skimming, approximate softmax). The
+ * batched controller the engines share is also checked on its own
+ * column-range surface against dedicated Controllers.
  */
 
 #include <tuple>
@@ -208,6 +210,114 @@ TEST(BatchedDnc, LanesAreIndependent)
         outputs = uniform.step(same);
     EXPECT_TRUE(outputs[0] == outputs[1]);
 }
+
+// --------------------------------------------------------------------
+// BatchedController on its own: the column-range surface the shard
+// engines drive. Seven slots (one full four-lane chunk plus a partial
+// one) are stepped as ranges [0, 3) and [3, 7) — the second range
+// starting inside the first chunk — with the ranges' controller steps
+// and output heads interleaved as the pipelined engine interleaves
+// them, after churn that leaves slots out of column order. Every slot
+// must equal its own Controller(config, Rng(seed)) fed the same inputs
+// and read vectors.
+// --------------------------------------------------------------------
+
+class BatchedControllerRanges : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(BatchedControllerRanges, SlotsMatchDedicatedControllers)
+{
+    const Index threads = static_cast<Index>(GetParam());
+    DncConfig cfg = tinyConfig();
+    cfg.batchSize = 7;
+    constexpr std::uint64_t kSeed = 31;
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<ThreadPool>(threads);
+    BatchedController controller(cfg, kSeed, pool.get());
+
+    std::vector<std::unique_ptr<Controller>> refs;
+    std::vector<std::vector<Vector>> refReads(cfg.batchSize);
+    const auto freshRef = [&](Index slot) {
+        Rng rng(kSeed);
+        refs[slot] = std::make_unique<Controller>(cfg, rng);
+        refReads[slot].assign(cfg.readHeads, Vector(cfg.memoryWidth));
+    };
+    refs.resize(cfg.batchSize);
+    for (Index slot = 0; slot < cfg.batchSize; ++slot)
+        freshRef(slot);
+
+    // Churn: slots 1 and 2 leave, slot 4 drains, then both free slots
+    // come back at the end of the prefix below still-Active 5 and 6.
+    Rng rng(97);
+    std::vector<Vector> inputs(cfg.batchSize);
+    std::vector<Vector> outputs(cfg.batchSize);
+    std::vector<std::vector<Vector>> reads(cfg.batchSize);
+    const auto stepRange = [&](Index c0, Index k) {
+        controller.stepControllers(inputs, c0, k);
+        for (Index c = c0; c < c0 + k; ++c) {
+            const Index slot = controller.slotAt(c);
+            const InterfaceVector &want =
+                refs[slot]->stepInto(inputs[slot], refReads[slot]);
+            const InterfaceVector &got = controller.laneInterface(slot);
+            ASSERT_TRUE(want.writeKey == got.writeKey) << "slot " << slot;
+            ASSERT_TRUE(want.writeVector == got.writeVector)
+                << "slot " << slot;
+            ASSERT_TRUE(want.readKeys == got.readKeys) << "slot " << slot;
+            ASSERT_EQ(want.writeGate, got.writeGate) << "slot " << slot;
+            reads[slot].clear();
+            for (Index h = 0; h < cfg.readHeads; ++h)
+                reads[slot].push_back(rng.normalVector(cfg.memoryWidth));
+            controller.storeReads(c, reads[slot]);
+            refReads[slot] = reads[slot];
+        }
+    };
+    const auto finishRange = [&](Index c0, Index k) {
+        controller.outputInto(c0, k, outputs);
+        for (Index c = c0; c < c0 + k; ++c) {
+            const Index slot = controller.slotAt(c);
+            Vector want;
+            refs[slot]->outputInto(refReads[slot], want);
+            ASSERT_TRUE(want == outputs[slot]) << "slot " << slot;
+        }
+    };
+
+    bool outOfOrder = false;
+    for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        if (step == 3) {
+            controller.release(1);
+            controller.markDraining(2);
+            controller.release(2);
+            controller.markDraining(4);
+        }
+        if (step == 5) {
+            for (int i = 0; i < 2; ++i)
+                freshRef(controller.admit());
+            controller.release(4);
+        }
+        for (Index slot = 0; slot < cfg.batchSize; ++slot)
+            inputs[slot] = rng.normalVector(cfg.inputSize);
+        const Index active = controller.activeLanes();
+        for (Index c = 1; c < active; ++c)
+            outOfOrder |= controller.slotAt(c) < controller.slotAt(c - 1);
+        const Index split = std::min<Index>(3, active);
+        stepRange(0, split);
+        if (active > split)
+            stepRange(split, active - split);
+        finishRange(0, split);
+        if (active > split)
+            finishRange(split, active - split);
+    }
+    EXPECT_TRUE(outOfOrder) << "churn never put slots out of column order";
+    EXPECT_EQ(controller.activeLanes(), 6u);
+    EXPECT_EQ(controller.freeLanes(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, BatchedControllerRanges,
+                         ::testing::Values(1, 3), [](const auto &info) {
+                             return "T" + std::to_string(info.param);
+                         });
 
 TEST(BatchedDnc, BatchSizeOneMatchesDncExactly)
 {

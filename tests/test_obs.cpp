@@ -19,6 +19,7 @@
 #include "golden_util.h"
 #include "obs/obs.h"
 #include "shard/local_cluster.h"
+#include "shard/sharded_dnc.h"
 #include "shard/wire.h"
 
 // --------------------------------------------------------------------
@@ -624,6 +625,74 @@ TEST(Trace, DisabledSpansRecordNothing)
     std::string json;
     obs::traceExportJson(json);
     EXPECT_EQ(json.find("test.trace.disabled"), std::string::npos);
+}
+
+/** One traced engine step over a warm engine; returns the export. */
+std::string
+tracedEngineStep(LaneEngine &engine)
+{
+    const DncConfig &cfg = engine.config();
+    Rng rng(4242);
+    std::vector<Vector> inputs;
+    for (Index lane = 0; lane < cfg.batchSize; ++lane)
+        inputs.push_back(rng.normalVector(cfg.inputSize));
+    std::vector<Vector> outputs;
+    engine.stepInto(inputs, outputs);
+
+    obs::traceReset();
+    obs::setTracingEnabled(true);
+    engine.stepInto(inputs, outputs);
+    obs::setTracingEnabled(false);
+    std::string json;
+    obs::traceExportJson(json);
+    return json;
+}
+
+DncConfig
+shardEngineConfig()
+{
+    DncConfig cfg;
+    cfg.memoryRows = 32;
+    cfg.memoryWidth = 12;
+    cfg.readHeads = 2;
+    cfg.controllerSize = 24;
+    cfg.inputSize = 10;
+    cfg.outputSize = 8;
+    cfg.batchSize = 3;
+    return cfg;
+}
+
+// Both shard engines split their own time the same way: the batched
+// controller step and the output head each get a span, so a traced run
+// separates them from scatter, gather and merge.
+TEST(Trace, SyncShardEngineEmitsControllerAndOutputSpans)
+{
+    TelemetryGuard guard;
+    const DncConfig cfg = shardEngineConfig();
+    ShardedLaneEngine engine(cfg, 5, [&cfg](Index) {
+        LocalShardCluster stack = makeLocalCluster(
+            ClusterTransport::Loopback, cfg, /*tiles=*/2, /*workers=*/1);
+        return std::unique_ptr<TileMemory>(std::move(stack.coordinator));
+    });
+    const std::string json = tracedEngineStep(engine);
+    EXPECT_TRUE(JsonParser(json).parse()) << json;
+    EXPECT_EQ(countOccurrences(json, "shard.controller_compute"), 2u);
+    EXPECT_EQ(countOccurrences(json, "shard.output_head"), 2u);
+}
+
+TEST(Trace, PipelinedShardEngineEmitsControllerAndOutputSpans)
+{
+    TelemetryGuard guard;
+    const DncConfig cfg = shardEngineConfig();
+    LocalLaneCluster cluster =
+        makeLocalLaneCluster(ClusterTransport::Loopback, cfg, /*tiles=*/2,
+                             cfg.batchSize, /*workerCount=*/1);
+    // Batches of two: a 2 + 1 split, so each span fires once per batch.
+    PipelinedShardedLaneEngine engine(cfg, 5, cluster.group, 2);
+    const std::string json = tracedEngineStep(engine);
+    EXPECT_TRUE(JsonParser(json).parse()) << json;
+    EXPECT_EQ(countOccurrences(json, "shard.controller_compute"), 4u);
+    EXPECT_EQ(countOccurrences(json, "shard.output_head"), 4u);
 }
 
 TEST(Trace, ConfigKnobsLand)

@@ -580,6 +580,125 @@ TEST(ShardedDnc, WireBackendMatchesInProcessBackend)
     }
 }
 
+/**
+ * A LaneEngine decorator that records, through the public surface only,
+ * every re-admission of a slot while some higher slot is Active. The
+ * engines keep their stepping lanes in a compacted column prefix, so
+ * such an admission puts the re-admitted slot in a column after a
+ * higher slot: batches then hold slots out of order.
+ */
+class AdmitOrderProbe final : public LaneEngine
+{
+  public:
+    explicit AdmitOrderProbe(std::unique_ptr<LaneEngine> inner)
+        : inner_(std::move(inner)), admitted_(inner_->capacity(), false)
+    {}
+
+    Index admit() override
+    {
+        const Index slot = inner_->admit();
+        if (admitted_[slot])
+            for (Index s = slot + 1; s < capacity(); ++s)
+                if (inner_->laneState(s) == LaneState::Active) {
+                    ++lowReadmits_;
+                    break;
+                }
+        admitted_[slot] = true;
+        return slot;
+    }
+    void stepInto(const std::vector<Vector> &inputs,
+                  std::vector<Vector> &outputs) override
+    {
+        inner_->stepInto(inputs, outputs);
+    }
+    void markDraining(Index slot) override { inner_->markDraining(slot); }
+    void release(Index slot) override { inner_->release(slot); }
+    LaneState laneState(Index slot) const override
+    {
+        return inner_->laneState(slot);
+    }
+    Index activeLanes() const override { return inner_->activeLanes(); }
+    Index drainingLanes() const override { return inner_->drainingLanes(); }
+    Index freeLanes() const override { return inner_->freeLanes(); }
+    Index capacity() const override { return inner_->capacity(); }
+    void reset() override { inner_->reset(); }
+    const DncConfig &config() const override { return inner_->config(); }
+
+    /** Re-admissions of a slot below a still-Active higher slot. */
+    Index lowReadmits() const { return lowReadmits_; }
+
+  private:
+    std::unique_ptr<LaneEngine> inner_;
+    std::vector<bool> admitted_;
+    Index lowReadmits_ = 0;
+};
+
+/**
+ * Route a bursty arrival trace through `engine` and check every
+ * completed request against a dedicated ShardedDnc over the in-process
+ * backend (already proven equal to the wire backend above).
+ *
+ * @return re-admissions of a slot below a still-Active higher slot
+ */
+Index
+routeAndMatchDedicatedRuns(const DncConfig &cfg, Index tiles,
+                           std::uint64_t seed,
+                           std::unique_ptr<LaneEngine> engine,
+                           const ArrivalSpec &spec, Index horizon)
+{
+    auto probe = std::make_unique<AdmitOrderProbe>(std::move(engine));
+    const AdmitOrderProbe &admits = *probe;
+    Router router(std::move(probe));
+
+    Rng traceRng(61);
+    const auto trace = makeArrivalTrace(spec, horizon, traceRng);
+    EXPECT_FALSE(trace.empty());
+
+    std::size_t next = 0;
+    while (next < trace.size()) {
+        while (next < trace.size() && trace[next].step <= router.now()) {
+            ServeRequest request;
+            request.id = trace[next].ordinal;
+            request.tokens = requestTokens(trace[next], cfg.inputSize, 67);
+            EXPECT_TRUE(router.submit(std::move(request)));
+            ++next;
+        }
+        router.step();
+    }
+    router.drain();
+    EXPECT_EQ(router.completed().size(), trace.size());
+
+    ShardedDnc ref(cfg, seed, std::make_unique<DncD>(cfg, tiles));
+    for (const ServeResult &result : router.completed()) {
+        SCOPED_TRACE(::testing::Message() << "request " << result.id);
+        const auto tokens =
+            requestTokens(trace[result.id], cfg.inputSize, 67);
+        EXPECT_EQ(result.outputs.size(), tokens.size());
+        if (result.outputs.size() != tokens.size())
+            break;
+        ref.reset();
+        for (Index t = 0; t < tokens.size(); ++t) {
+            const bool same = ref.step(tokens[t]) == result.outputs[t];
+            EXPECT_TRUE(same) << "output " << t << " diverged";
+            if (!same)
+                break;
+        }
+    }
+    return admits.lowReadmits();
+}
+
+/** Bursts that exceed the lanes: queueing + admit churn. */
+ArrivalSpec
+burstySpec(Index burstSize)
+{
+    ArrivalSpec spec;
+    spec.kind = ArrivalKind::Bursty;
+    spec.rate = 0.1;
+    spec.burstProbability = 0.2;
+    spec.burstSize = burstSize;
+    return spec;
+}
+
 TEST(ShardedRouter, RoutedRequestsMatchDedicatedShardedRuns)
 {
     DncConfig cfg = serveCfg();
@@ -591,44 +710,8 @@ TEST(ShardedRouter, RoutedRequestsMatchDedicatedShardedRuns)
         cfg, kSeed, [&cfg](Index) {
             return loopbackBackend(cfg, tiles, 1);
         });
-    Router router(std::move(engine));
-
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::Bursty;
-    spec.rate = 0.1;
-    spec.burstProbability = 0.2;
-    spec.burstSize = 4; // bursts exceed 3 lanes: queueing + admit churn
-    Rng traceRng(61);
-    const auto trace = makeArrivalTrace(spec, 20, traceRng);
-    ASSERT_FALSE(trace.empty());
-
-    std::size_t next = 0;
-    while (next < trace.size()) {
-        while (next < trace.size() && trace[next].step <= router.now()) {
-            ServeRequest request;
-            request.id = trace[next].ordinal;
-            request.tokens = requestTokens(trace[next], cfg.inputSize, 67);
-            ASSERT_TRUE(router.submit(std::move(request)));
-            ++next;
-        }
-        router.step();
-    }
-    router.drain();
-    ASSERT_EQ(router.completed().size(), trace.size());
-
-    // Reference: a dedicated sharded model (in-process backend — already
-    // proven equal to the wire backend above) per request.
-    ShardedDnc ref(cfg, kSeed, std::make_unique<DncD>(cfg, tiles));
-    for (const ServeResult &result : router.completed()) {
-        SCOPED_TRACE(::testing::Message() << "request " << result.id);
-        const auto tokens =
-            requestTokens(trace[result.id], cfg.inputSize, 67);
-        ASSERT_EQ(result.outputs.size(), tokens.size());
-        ref.reset();
-        for (Index t = 0; t < tokens.size(); ++t)
-            ASSERT_TRUE(ref.step(tokens[t]) == result.outputs[t])
-                << "output " << t << " diverged";
-    }
+    routeAndMatchDedicatedRuns(cfg, tiles, kSeed, std::move(engine),
+                               burstySpec(4), 20);
 }
 
 // --------------------------------------------------------------------
@@ -647,44 +730,89 @@ TEST(ShardedRouter, PipelinedEngineMatchesDedicatedShardedRuns)
     LocalLaneCluster cluster = makeLocalLaneCluster(
         ClusterTransport::Loopback, cfg, tiles, cfg.batchSize,
         /*workerCount=*/1);
-    Router router(std::make_unique<PipelinedShardedLaneEngine>(
-        cfg, kSeed, cluster.group));
-
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::Bursty;
-    spec.rate = 0.1;
-    spec.burstProbability = 0.2;
-    spec.burstSize = 4; // bursts exceed 3 lanes: queueing + admit churn
-    Rng traceRng(61);
-    const auto trace = makeArrivalTrace(spec, 20, traceRng);
-    ASSERT_FALSE(trace.empty());
-
-    std::size_t next = 0;
-    while (next < trace.size()) {
-        while (next < trace.size() && trace[next].step <= router.now()) {
-            ServeRequest request;
-            request.id = trace[next].ordinal;
-            request.tokens = requestTokens(trace[next], cfg.inputSize, 67);
-            ASSERT_TRUE(router.submit(std::move(request)));
-            ++next;
-        }
-        router.step();
-    }
-    router.drain();
-    ASSERT_EQ(router.completed().size(), trace.size());
-
-    ShardedDnc ref(cfg, kSeed, std::make_unique<DncD>(cfg, tiles));
-    for (const ServeResult &result : router.completed()) {
-        SCOPED_TRACE(::testing::Message() << "request " << result.id);
-        const auto tokens =
-            requestTokens(trace[result.id], cfg.inputSize, 67);
-        ASSERT_EQ(result.outputs.size(), tokens.size());
-        ref.reset();
-        for (Index t = 0; t < tokens.size(); ++t)
-            ASSERT_TRUE(ref.step(tokens[t]) == result.outputs[t])
-                << "output " << t << " diverged";
-    }
+    routeAndMatchDedicatedRuns(
+        cfg, tiles, kSeed,
+        std::make_unique<PipelinedShardedLaneEngine>(cfg, kSeed,
+                                                     cluster.group),
+        burstySpec(4), 20);
 }
+
+// --------------------------------------------------------------------
+// Churn at partial SIMD chunks: seven lanes are one full four-lane
+// register chunk of the batched controller plus a partial one, and
+// pipelined batches of three straddle the chunk boundary. Slots are
+// released and re-admitted below still-Active higher slots, so the
+// compacted columns hold slots out of order and every scatter sorts.
+// --------------------------------------------------------------------
+
+/** Which engine a churn run drives: sync, or pipelined batch size. */
+enum class ChurnEngine
+{
+    Sync,
+    PipelinedAllLanes, ///< lanesPerBatch 0: one batch of every lane
+    PipelinedThree,    ///< lanesPerBatch 3: batches straddle a chunk
+};
+
+const char *
+churnEngineName(ChurnEngine kind)
+{
+    switch (kind) {
+    case ChurnEngine::Sync:
+        return "Sync";
+    case ChurnEngine::PipelinedAllLanes:
+        return "PipelinedAllLanes";
+    case ChurnEngine::PipelinedThree:
+        return "PipelinedThree";
+    }
+    return "?";
+}
+
+class ShardedRouterChurn
+    : public ::testing::TestWithParam<std::tuple<ChurnEngine, bool>>
+{};
+
+TEST_P(ShardedRouterChurn, PartialChunkBatchesMatchDedicatedShardedRuns)
+{
+    const auto [kind, fixedPoint] = GetParam();
+    DncConfig cfg = serveCfg();
+    cfg.batchSize = 7;
+    cfg.fixedPoint = fixedPoint;
+    const Index tiles = 2;
+    constexpr std::uint64_t kSeed = 23;
+    ASSERT_GT(cfg.batchSize, kBatchLaneChunk);
+    ASSERT_NE(cfg.batchSize % kBatchLaneChunk, 0u);
+
+    LocalLaneCluster cluster;
+    std::unique_ptr<LaneEngine> engine;
+    if (kind == ChurnEngine::Sync) {
+        engine = std::make_unique<ShardedLaneEngine>(
+            cfg, kSeed, [&cfg](Index) {
+                return loopbackBackend(cfg, tiles, 1);
+            });
+    } else {
+        cluster = makeLocalLaneCluster(ClusterTransport::Loopback, cfg,
+                                       tiles, cfg.batchSize,
+                                       /*workerCount=*/2);
+        engine = std::make_unique<PipelinedShardedLaneEngine>(
+            cfg, kSeed, cluster.group,
+            kind == ChurnEngine::PipelinedThree ? 3 : 0);
+    }
+    const Index lowReadmits = routeAndMatchDedicatedRuns(
+        cfg, tiles, kSeed, std::move(engine), burstySpec(9), 60);
+    EXPECT_GT(lowReadmits, 0u)
+        << "the trace never re-admitted a slot below an Active one";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenLanes, ShardedRouterChurn,
+    ::testing::Combine(::testing::Values(ChurnEngine::Sync,
+                                         ChurnEngine::PipelinedAllLanes,
+                                         ChurnEngine::PipelinedThree),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::string(churnEngineName(std::get<0>(info.param))) +
+               (std::get<1>(info.param) ? "Fixed" : "Float");
+    });
 
 // --------------------------------------------------------------------
 // Bounded recv: a dead or wedged worker fails the step instead of
@@ -1325,16 +1453,17 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
            "regressed)";
 }
 
-TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
+/**
+ * Time steps [3, 8) of an engine after three warm-up steps, with lane
+ * churn between the timed steps: slot 1 drains and leaves (its column
+ * compacts away), then is re-admitted at the end of the active prefix
+ * below the still-Active slots 2 and 3, so the later steps run with
+ * slots out of column order. Returns the allocations in that window.
+ */
+std::uint64_t
+allocationsAcrossChurn(LaneEngine &engine)
 {
-    DncConfig cfg = serveCfg();
-    cfg.batchSize = 4;
-    cfg.shardLanesPerBatch = 2; // two overlapped batches per step
-    LocalLaneCluster cluster = makeLocalLaneCluster(
-        ClusterTransport::Loopback, cfg, /*tiles=*/4, cfg.batchSize,
-        /*workerCount=*/2);
-    PipelinedShardedLaneEngine engine(cfg, 9, cluster.group);
-
+    const DncConfig &cfg = engine.config();
     Rng rng(707);
     std::vector<std::vector<Vector>> inputs;
     for (int i = 0; i < 8; ++i) {
@@ -1350,14 +1479,51 @@ TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
-    for (int i = 3; i < 8; ++i)
+    for (int i = 3; i < 8; ++i) {
+        if (i == 4) {
+            engine.markDraining(1);
+            engine.release(1);
+        }
+        if (i == 6)
+            engine.admit();
         engine.stepInto(inputs[i], outputs);
+    }
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
+    EXPECT_EQ(engine.laneState(1), LaneState::Active);
+    EXPECT_EQ(engine.activeLanes(), cfg.batchSize);
+    return after - before;
+}
+
+TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
+{
+    DncConfig cfg = serveCfg();
+    cfg.batchSize = 4;
+    cfg.shardLanesPerBatch = 2; // two overlapped batches per step
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, /*tiles=*/4, cfg.batchSize,
+        /*workerCount=*/2);
+    PipelinedShardedLaneEngine engine(cfg, 9, cluster.group);
+
+    EXPECT_EQ(allocationsAcrossChurn(engine), 0u)
         << "steady-state pipelined engine step performed heap "
-           "allocations (lane-batched encode/decode, scatter window, "
-           "worker lane step, or merge path regressed)";
+           "allocations (lane-batched encode/decode, scatter window and "
+           "its slot sort, worker lane step, merge path, or the "
+           "controller's column moves regressed)";
+}
+
+TEST(ShardZeroAlloc, SteadyStateSyncEngineStep)
+{
+    DncConfig cfg = serveCfg();
+    cfg.batchSize = 4;
+    ShardedLaneEngine engine(cfg, 9, [&cfg](Index) {
+        return loopbackBackend(cfg, /*tiles=*/4, /*workers=*/2);
+    });
+
+    EXPECT_EQ(allocationsAcrossChurn(engine), 0u)
+        << "steady-state sync engine step performed heap allocations "
+           "(batched controller step, per-lane round trip, output head, "
+           "or the controller's column moves regressed)";
 }
 
 TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)

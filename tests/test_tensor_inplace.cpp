@@ -488,12 +488,15 @@ TEST(MatVecOracle, BatchedFormsMatchNaiveLoop)
                 batchedMatVecInto(m, x, stride, active, into);
                 Vector acc = y0;
                 batchedMatVecAccumulate(m, x, stride, active, acc);
+                // The ranged forms start past lane 0 too, so a lane
+                // chunk straddles the caller's column range.
+                const Index first = std::min<Index>(cols % 3, active - 1);
                 Vector rowsInto = y0;
-                batchedMatVecRowsInto(m, row0, row1, x, stride, active,
-                                      rowsInto);
+                batchedMatVecRowsInto(m, row0, row1, x, stride, first,
+                                      active - first, rowsInto);
                 Vector rowsAcc = y0;
-                batchedMatVecRowsAccumulate(m, row0, row1, x, stride,
-                                            active, rowsAcc);
+                batchedMatVecRowsAccumulate(m, row0, row1, x, stride, first,
+                                            active - first, rowsAcc);
                 if (stride == active) {
                     Vector full = y0;
                     batchedMatVecInto(m, x, stride, full);
@@ -507,7 +510,8 @@ TEST(MatVecOracle, BatchedFormsMatchNaiveLoop)
                     for (Index b = 0; b < stride; ++b) {
                         const Index k = r * stride + b;
                         const bool live = b < active;
-                        const bool ranged = live && r >= row0 && r < row1;
+                        const bool ranged =
+                            live && b >= first && r >= row0 && r < row1;
                         const Real want =
                             live ? oracleRowSum(m, r, x, stride, b) : 0.0;
                         // Streamed only when an assertion fails.
