@@ -359,7 +359,7 @@ matTVecInto(const Matrix &m, const Vector &x, Vector &y)
 
 Index
 matTVecSparseInto(const Matrix &m, const Vector &x, const Vector &rowGate,
-                  Real threshold, Vector &y)
+                  Vector &y)
 {
     HIMA_ASSERT(m.rows() == x.size(), "matTVecSparseInto: rows %zu != x %zu",
                 m.rows(), x.size());
@@ -377,7 +377,7 @@ matTVecSparseInto(const Matrix &m, const Vector &x, const Vector &rowGate,
         py[c] = 0.0;
     Index skipped = 0;
     for (Index r = 0; r < rows; ++r) {
-        if (pg[r] <= threshold) {
+        if (pg[r] <= 0.0) {
             ++skipped;
             continue;
         }

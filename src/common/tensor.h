@@ -218,15 +218,15 @@ void matVecAccumulate(const Matrix &m, const Vector &x, Vector &y);
 /** y = M^T x; y must not alias x. */
 void matTVecInto(const Matrix &m, const Vector &x, Vector &y);
 /**
- * y = M^T x, skipping rows whose `rowGate` entry is at or below
- * `threshold`; returns the number of rows skipped. With `rowGate` the
- * cached L2 row norms and a threshold of 0 this is bit-identical to
- * matTVecInto for nonnegative x: a gated-out row is all-zero, every one
- * of its accumulator terms is +0.0, and adding +0.0 never changes an
- * accumulator's bits. Visited rows accumulate in matTVecInto's order.
+ * y = M^T x, skipping rows whose `rowGate` entry is at or below 0;
+ * returns the number of rows skipped. With `rowGate` the cached L2 row
+ * norms this is bit-identical to matTVecInto for nonnegative x: a
+ * gated-out row is all-zero, every one of its accumulator terms is
+ * +0.0, and adding +0.0 never changes an accumulator's bits. Visited
+ * rows accumulate in matTVecInto's order.
  */
 Index matTVecSparseInto(const Matrix &m, const Vector &x,
-                        const Vector &rowGate, Real threshold, Vector &y);
+                        const Vector &rowGate, Vector &y);
 /** m += s * a b^T; m must already have shape rows(a) x rows(b). */
 void outerAccumulate(const Vector &a, const Vector &b, Real s, Matrix &m);
 /** out = A B; out must not alias A or B. */

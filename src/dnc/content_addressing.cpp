@@ -7,11 +7,8 @@
 
 namespace hima {
 
-ContentAddressing::ContentAddressing(bool approximate, int segments,
-                                     Real skipThreshold)
-    : skipThreshold_(skipThreshold)
+ContentAddressing::ContentAddressing(bool approximate, int segments)
 {
-    HIMA_ASSERT(skipThreshold_ >= 0.0, "negative read skip threshold");
     if (approximate)
         approx_ = std::make_unique<SoftmaxApprox>(segments);
 }
@@ -126,22 +123,21 @@ ContentAddressing::weightingInto(const Matrix &memory, const Vector &key,
         if (!cachedRowNorms) {
             scoreRun(0, n);
         } else {
-            // Sparse scan: a row whose cached norm is at or below the
-            // threshold is scored +0.0 without the dot. At threshold 0
-            // that is exactly the dense result — the row is all-zero,
-            // its dot accumulates ±0.0 terms to +0.0, and sharpening
-            // keeps the sign: strength * +0.0 / eps == +0.0.
-            const Real skipT = skipThreshold_;
+            // Sparse scan: a row whose cached norm is 0 is scored +0.0
+            // without the dot. That is exactly the dense result — the
+            // row is all-zero, its dot accumulates ±0.0 terms to +0.0,
+            // and sharpening keeps the sign: strength * +0.0 / eps ==
+            // +0.0.
             Index i = 0;
             while (i < n) {
-                if (rowNorms[i] <= skipT) {
+                if (rowNorms[i] <= 0.0) {
                     ps[i] = 0.0;
                     ++skipped;
                     ++i;
                     continue;
                 }
                 Index runEnd = i + 1;
-                while (runEnd < n && rowNorms[runEnd] > skipT)
+                while (runEnd < n && rowNorms[runEnd] > 0.0)
                     ++runEnd;
                 scoreRun(i, runEnd);
                 i = runEnd;

@@ -24,15 +24,10 @@ class ContentAddressing
 {
   public:
     /**
-     * @param approximate   use the PLA+LUT softmax (Sec. 5.2)
-     * @param segments      PLA segment count when approximate
-     * @param skipThreshold active-row threshold of the similarity scan:
-     *                      rows whose cached norm is at or below it are
-     *                      scored 0 without the O(W) dot (see
-     *                      DncConfig::readSkipThreshold)
+     * @param approximate use the PLA+LUT softmax (Sec. 5.2)
+     * @param segments    PLA segment count when approximate
      */
-    explicit ContentAddressing(bool approximate = false, int segments = 8,
-                               Real skipThreshold = 0.0);
+    explicit ContentAddressing(bool approximate = false, int segments = 8);
 
     /**
      * C(M, k, beta): weighting over the N rows of memory.
@@ -55,12 +50,11 @@ class ContentAddressing
      * When `cachedRowNorms` is non-null it must hold the L2 norm of each
      * memory row (the MemoryUnit maintains this cache across writes) and
      * the O(N*W) norm recompute is skipped; additionally the similarity
-     * scan skips rows whose cached norm is at or below the construction
-     * skip threshold, scoring them 0 without the O(W) dot. At the
-     * default threshold of 0 only never-written rows are skipped, and
-     * their score is exactly what the dense scan computes (an all-zero
-     * row's dot is +0.0 and +0.0/eps sharpens to +0.0), so the result is
-     * bit-identical; the softmax still runs over all N rows. Profiler
+     * scan skips rows whose cached norm is 0, scoring them 0 without the
+     * O(W) dot. Such a row is all-zero, and its score is exactly what
+     * the dense scan computes (an all-zero row's dot is +0.0 and
+     * +0.0/eps sharpens to +0.0), so the result is bit-identical; the
+     * softmax still runs over all N rows. Profiler
      * charges still reflect the full hardware Normalize/Similarity cost
      * (software savings land in skippedRows/skippedOps) — the cache is
      * a simulator-speed optimization, not a change to the modeled
@@ -77,11 +71,9 @@ class ContentAddressing
                        KernelProfiler *profiler = nullptr) const;
 
     bool approximate() const { return approx_ != nullptr; }
-    Real skipThreshold() const { return skipThreshold_; }
 
   private:
     std::unique_ptr<SoftmaxApprox> approx_;
-    Real skipThreshold_ = 0.0;
 };
 
 } // namespace hima

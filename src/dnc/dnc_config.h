@@ -112,47 +112,6 @@ struct DncConfig
     Index routerMaxActiveLanes = 0;
 
     /**
-     * Simulator-speed knob: memory-write rows whose write weight is at
-     * or below this threshold are left untouched, making the write and
-     * the row-norm maintenance O(touched * W) instead of O(N * W). Zero
-     * (default) skips only exactly-zero weights and matches the
-     * reference DNC bit-for-bit; small positive values (~1e-12..1e-9)
-     * trade exactness for speed in the spirit of the paper's usage
-     * skimming. Hardware cost charges are unaffected.
-     */
-    Real writeSkipThreshold = 0.0;
-
-    /**
-     * Active-row threshold of the sparse linkage sweep: a linkage row is
-     * swept only while its cached absolute row mass (or its current
-     * write weight) exceeds this value; other rows are left untouched
-     * and contribute nothing to the forward/backward weightings. Zero
-     * (default) skips only rows that are exactly zero — slots never
-     * written since the episode boundary — and is bit-identical to the
-     * dense O(N^2) sweep; small positive values (~1e-12..1e-6) also skim
-     * rows whose linkage mass has decayed to noise, trading exactness
-     * for speed in the spirit of the paper's Sec. 5.2 usage skimming.
-     * Hardware cost charges are unaffected (the skipped work lands in
-     * the profiler's skippedRows/skippedOps columns instead).
-     */
-    Real linkageSkipThreshold = 0.0;
-
-    /**
-     * Active-row threshold of the sparse read stage: content addressing
-     * skips the cosine dot for memory rows whose cached L2 norm is at or
-     * below this value (scoring them exactly 0 before the softmax), the
-     * memory-read mat-T-vec skips their rows, and the DNC-D confidence
-     * scorer skips them tile-locally. Zero (default) skips only rows
-     * whose norm is exactly zero — rows never written since the episode
-     * boundary, whose cosine score and read contribution are exactly
-     * determined — and is bit-identical to the dense read stage; small
-     * positive values additionally skim rows whose content has been
-     * erased to noise. Hardware cost charges are unaffected (skipped
-     * work lands in skippedRows/skippedOps).
-     */
-    Real readSkipThreshold = 0.0;
-
-    /**
      * Runtime metrics toggle (src/obs): counters/gauges/histograms are
      * recorded while true. Off, every metric write is one predictable
      * branch; compiled with HIMA_TELEMETRY=OFF the writes vanish
@@ -218,18 +177,6 @@ struct DncConfig
             HIMA_FATAL("DncConfig: routerMaxActiveLanes %zu exceeds "
                        "batchSize %zu (0 means \"use batchSize\")",
                        routerMaxActiveLanes, batchSize);
-        // The skip thresholds are written as negated conjunctions so a
-        // NaN (which compares false both ways) is rejected rather than
-        // slipping past a `< 0.0 || >= 1.0` pair of checks.
-        if (!(writeSkipThreshold >= 0.0 && writeSkipThreshold < 1.0))
-            HIMA_FATAL("DncConfig: write skip threshold %f outside [0, 1)",
-                       writeSkipThreshold);
-        if (!(linkageSkipThreshold >= 0.0 && linkageSkipThreshold < 1.0))
-            HIMA_FATAL("DncConfig: linkage skip threshold %f outside [0, 1)",
-                       linkageSkipThreshold);
-        if (!(readSkipThreshold >= 0.0 && readSkipThreshold < 1.0))
-            HIMA_FATAL("DncConfig: read skip threshold %f outside [0, 1)",
-                       readSkipThreshold);
         if (telemetryTraceCapacity == 0)
             HIMA_FATAL("DncConfig: telemetryTraceCapacity must be >= 1");
     }

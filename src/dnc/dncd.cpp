@@ -25,14 +25,12 @@ tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
     const Vector &norms = tile.rowNorms();
     const Real keyNorm = key.norm();
     constexpr Real eps = 1e-6;
-    // A row whose cached norm is at or below the read skip threshold is
-    // a never-written (all-zero) row at the default threshold of 0: its
-    // cosine is exactly +0.0/eps == +0.0, so folding a literal 0.0 into
-    // the max without the O(W) dot leaves the chain bit-identical.
-    const Real skipT = tile.config().readSkipThreshold;
+    // A row whose cached norm is 0 is an all-zero row: its cosine is
+    // exactly +0.0/eps == +0.0, so folding a literal 0.0 into the max
+    // without the O(W) dot leaves the chain bit-identical.
     Real best = -1.0;
     for (Index i = 0; i < mem.rows(); ++i) {
-        if (norms[i] <= skipT) {
+        if (norms[i] <= 0.0) {
             best = std::max(best, 0.0);
             continue;
         }

@@ -11,15 +11,14 @@ namespace hima {
 
 MemoryUnit::MemoryUnit(const DncConfig &config)
     : config_(config),
-      addressing_(config.approximateSoftmax, config.softmaxSegments,
-                  config.readSkipThreshold),
+      addressing_(config.approximateSoftmax, config.softmaxSegments),
       usageSorter_(referenceUsageSort),
       skimK_(static_cast<Index>(config.skimRate *
                                 static_cast<Real>(config.memoryRows))),
       memory_(config.memoryRows, config.memoryWidth),
       rowNorms_(config.memoryRows),
       usage_(config.memoryRows),
-      linkage_(config.memoryRows, config.linkageSkipThreshold),
+      linkage_(config.memoryRows),
       writeWeighting_(config.memoryRows),
       readWeightings_(config.readHeads, Vector(config.memoryRows)),
       ws_(config.memoryRows, config.memoryWidth, config.readHeads)
@@ -133,22 +132,20 @@ MemoryUnit::memoryWrite(const Vector &writeWeighting, const Vector &erase,
 
     const Index n = config_.memoryRows;
     const Index w = config_.memoryWidth;
-    const Real threshold = config_.writeSkipThreshold;
     const bool fixed = config_.fixedPoint;
 
     // M <- M .* (E - w_w e^T) + w_w v^T, computed row-at-a-time: the
     // outer products never materialize, matching the PE-array dataflow.
     // Each touched row's L2 norm is refreshed in the same pass, which is
     // what keeps the content-addressing Normalize stage O(touched * W)
-    // in simulator time. Skipped rows (weight <= threshold; exactly the
-    // zero-weight rows at the default threshold of 0) are unmodified, so
-    // their cached norms stay valid by construction.
+    // in simulator time. Rows with a zero write weight are skipped and
+    // left unmodified, so their cached norms stay valid by construction.
     const Real *ww = writeWeighting.data();
     const Real *pe = erase.data();
     const Real *pv = write.data();
     for (Index i = 0; i < n; ++i) {
         const Real wi = ww[i];
-        if (wi <= threshold)
+        if (wi <= 0.0)
             continue;
         Real *row = memory_.rowPtr(i);
         Real acc = 0.0;
@@ -205,17 +202,15 @@ MemoryUnit::softRead(const InterfaceVector &iface, MemoryReadout &out)
         if (config_.fixedPoint)
             quantizeInPlace(weighting);
 
-        // MR: v_r = M^T w_r. Rows whose cached norm is at or below the
-        // read skip threshold are never-written (all-zero) rows at the
-        // default threshold of 0: their contribution to every output
-        // word is +0.0 exactly, so skipping them is bit-identical (the
-        // weighting is nonnegative). The hardware still reads all N
-        // rows — only simulator work is skipped.
+        // MR: v_r = M^T w_r. Rows whose cached norm is 0 are all-zero
+        // rows: their contribution to every output word is +0.0
+        // exactly, so skipping them is bit-identical (the weighting is
+        // nonnegative). The hardware still reads all N rows — only
+        // simulator work is skipped.
         {
             KernelScope scope(profiler_, Kernel::MemoryRead);
             const Index skipped = matTVecSparseInto(
-                memory_, weighting, rowNorms_, config_.readSkipThreshold,
-                out.readVectors[head]);
+                memory_, weighting, rowNorms_, out.readVectors[head]);
             auto &c = profiler_.at(Kernel::MemoryRead);
             c.macOps += static_cast<std::uint64_t>(n) * w;
             c.extMemAccesses += static_cast<std::uint64_t>(n) * w;
@@ -257,9 +252,6 @@ MemoryTileState::sizeFor(const DncConfig &config)
         readWeightings.resize(config.readHeads);
     for (auto &rw : readWeightings)
         rw.resize(n);
-    // Variable-length (0..N entries); reserving N up front keeps the
-    // per-checkpoint refills allocation-free as the set grows.
-    touchedSlots.reserve(n);
 }
 
 void
@@ -279,8 +271,6 @@ MemoryUnit::captureState(MemoryTileState &out) const
     for (Index h = 0; h < config_.readHeads; ++h)
         std::copy(readWeightings_[h].begin(), readWeightings_[h].end(),
                   out.readWeightings[h].begin());
-    const std::vector<Index> &tl = linkage_.touchedSlots();
-    out.touchedSlots.assign(tl.begin(), tl.end());
 }
 
 void
@@ -319,8 +309,7 @@ MemoryUnit::restoreState(const MemoryTileState &state)
         rowNorms_[i] = std::sqrt(acc);
     }
     std::copy(state.usage.begin(), state.usage.end(), usage_.begin());
-    linkage_.restoreState(state.linkage, state.precedence,
-                          state.touchedSlots);
+    linkage_.restoreState(state.linkage, state.precedence);
     std::copy(state.writeWeighting.begin(), state.writeWeighting.end(),
               writeWeighting_.begin());
     for (Index h = 0; h < config_.readHeads; ++h)

@@ -68,15 +68,6 @@ struct MemoryTileState
     Vector writeWeighting; ///< N
     std::vector<Vector> readWeightings; ///< R x N
 
-    /**
-     * The linkage's monotone touched-slot set (ascending, <= N
-     * entries). Not derivable from the other fields at positive skip
-     * thresholds, so it rides in every snapshot and checkpoint frame —
-     * restoring it is what keeps a restored run's sparse sweeps
-     * bit-identical to the undisturbed run at any threshold.
-     */
-    std::vector<Index> touchedSlots;
-
     /** Resize every buffer for `config`'s shapes (keeps capacity). */
     void sizeFor(const DncConfig &config);
 };

@@ -302,12 +302,11 @@ readQuad4Sparse(const Real *r0, Index n, const Index *cols, Index count,
 
 } // namespace
 
-TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold)
-    : slots_(slots), skipThreshold_(skipThreshold),
-      linkage_(slots, slots), precedence_(slots), rowMass_(slots)
+TemporalLinkage::TemporalLinkage(Index slots)
+    : slots_(slots), linkage_(slots, slots), precedence_(slots),
+      rowMass_(slots)
 {
     HIMA_ASSERT(slots_ > 0, "linkage needs at least one slot");
-    HIMA_ASSERT(skipThreshold_ >= 0.0, "negative linkage skip threshold");
     activeRows_.reserve(slots_);
     touched_.assign(slots_, 0);
     touchedList_.reserve(slots_);
@@ -318,15 +317,14 @@ TemporalLinkage::gatherActiveRows(const Real *writeWeighting)
 {
     activeRows_.clear();  // keeps the reserved capacity — no alloc
     touchedList_.clear(); // likewise
-    const Real t = skipThreshold_;
     const Real *mass = rowMass_.data();
     for (Index i = 0; i < slots_; ++i) {
-        const bool writing = writeWeighting[i] > t;
+        const bool writing = writeWeighting[i] > 0.0;
         if (writing)
             touched_[i] = 1;
         if (touched_[i])
             touchedList_.push_back(i);
-        if (mass[i] > t || writing)
+        if (mass[i] > 0.0 || writing)
             activeRows_.push_back(i);
     }
     touchedListValid_ = true;
@@ -358,12 +356,10 @@ TemporalLinkage::updateLinkage(const Vector &writeWeighting,
 
     // L[i][j] <- (1 - w[i] - w[j]) L[i][j] + w[i] p[j], diagonal zeroed,
     // over the active rows and touched columns only. An inactive row
-    // (mass and write weight both at or below the threshold) is exactly
-    // zero at threshold 0 — its update computes (1 - 0 - w[j])*0 +
-    // 0*p[j] = 0 — and an untouched column j has row[j] == 0 and
-    // p[j] == 0, so its update computes (1 - wi - 0)*0 + wi*0 = 0;
-    // skipping both is bit-identical. Above 0 both skips are the
-    // paper-style approximation.
+    // (zero mass, zero write weight) is exactly zero — its update
+    // computes (1 - 0 - w[j])*0 + 0*p[j] = 0 — and an untouched column
+    // j has row[j] == 0 and p[j] == 0, so its update computes
+    // (1 - wi - 0)*0 + wi*0 = 0; skipping both is bit-identical.
     const Real *w = writeWeighting.data();
     const Real *p = precedence_.data();
     Real *L = linkage_.data();
@@ -458,7 +454,7 @@ TemporalLinkage::forwardWeightingInto(const Vector &prevReadWeighting,
 
     // f = L w_prev, sweeping only rows that carry mass and, within a
     // row, only the touched columns. A skipped row's dot product would
-    // be +0.0 exactly at threshold 0 (all entries are zero), and a
+    // be +0.0 exactly (all entries are zero), and a
     // skipped column's term is +0.0 (untouched columns are exactly
     // zero); the surviving per-row accumulation order is matVecInto's.
     f.resize(slots_);
@@ -469,11 +465,10 @@ TemporalLinkage::forwardWeightingInto(const Vector &prevReadWeighting,
     const Index *cols = tl.data();
     const Index tcount = static_cast<Index>(tl.size());
     const bool fullCols = tcount == slots_;
-    const Real t = skipThreshold_;
     Real *py = f.data();
     Index skipped = 0;
     for (Index r = 0; r < slots_; ++r) {
-        if (mass[r] <= t) {
+        if (mass[r] <= 0.0) {
             py[r] = 0.0;
             ++skipped;
             continue;
@@ -519,7 +514,7 @@ TemporalLinkage::backwardWeightingInto(const Vector &prevReadWeighting,
     // sweep: instead of scanning each visited row's dense columns, it
     // scatters into the touched columns only (the transpose of the
     // active-row structure). A skipped row contributes row[c]*xv = +0.0
-    // to every accumulator at threshold 0 and a skipped column's output
+    // to every accumulator and a skipped column's output
     // stays the +0.0 it was zero-filled with, so dropping both never
     // changes a bit. Visited rows accumulate in ascending-r order and
     // visited columns in ascending-c order, matTVecInto's order.
@@ -531,13 +526,12 @@ TemporalLinkage::backwardWeightingInto(const Vector &prevReadWeighting,
     const Index *cols = tl.data();
     const Index tcount = static_cast<Index>(tl.size());
     const bool fullCols = tcount == slots_;
-    const Real t = skipThreshold_;
     Real *py = b.data();
     for (Index c = 0; c < slots_; ++c)
         py[c] = 0.0;
     Index skipped = 0;
     for (Index r = 0; r < slots_; ++r) {
-        if (mass[r] <= t) {
+        if (mass[r] <= 0.0) {
             ++skipped;
             continue;
         }
@@ -652,8 +646,8 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
     const Index tcount = static_cast<Index>(touchedList_.size());
     const bool fullCols = tcount == slots_;
 
-    // Rows the sweep skips are exactly zero at threshold 0 (treated as
-    // zero above it): their forward dots are +0.0 and they contribute
+    // Rows the sweep skips are exactly zero: their forward dots are
+    // +0.0 and they contribute
     // nothing to the interleaved backward lanes, so zero-fill the
     // forward outputs once and let the sweep overwrite only the rows it
     // visits. O(RN), like the de-interleave below.
@@ -854,7 +848,7 @@ TemporalLinkage::rebuildMassAndMarkTouched()
     // mid-episode restore makes bit-identical skip decisions to the
     // undisturbed run it snapshots. Marking every column that holds a
     // nonzero entry keeps the sweeps' "untouched columns are exactly
-    // zero" invariant even for hand-edited snapshots.
+    // zero" invariant.
     for (Index i = 0; i < slots_; ++i) {
         const Real *row = linkage_.data() + i * slots_;
         for (Index j = 0; j < slots_; ++j)
@@ -867,8 +861,7 @@ TemporalLinkage::rebuildMassAndMarkTouched()
 
 void
 TemporalLinkage::restoreState(const Vector &linkageFlat,
-                              const Vector &precedence,
-                              const std::vector<Index> &touchedSlots)
+                              const Vector &precedence)
 {
     HIMA_ASSERT(linkageFlat.size() == slots_ * slots_,
                 "linkage restore: %zu reals for %zu slots",
@@ -878,16 +871,10 @@ TemporalLinkage::restoreState(const Vector &linkageFlat,
                 precedence.size(), slots_);
     std::copy(linkageFlat.begin(), linkageFlat.end(), linkage_.data());
     std::copy(precedence.begin(), precedence.end(), precedence_.begin());
-    std::fill(touched_.begin(), touched_.end(), 0);
-    Index prev = 0;
-    for (Index k = 0; k < touchedSlots.size(); ++k) {
-        const Index s = touchedSlots[k];
-        HIMA_ASSERT(s < slots_ && (k == 0 || s > prev),
-                    "touched-slot restore: index %zu out of order or out "
-                    "of range for %zu slots", s, slots_);
-        touched_[s] = 1;
-        prev = s;
-    }
+    // The touched set is derived (see restoreState's doc): slots with
+    // nonzero precedence here, nonzero linkage columns in the rebuild.
+    for (Index j = 0; j < slots_; ++j)
+        touched_[j] = precedence_[j] != 0.0 ? 1 : 0;
     rebuildMassAndMarkTouched();
 }
 

@@ -27,15 +27,15 @@ namespace hima {
  * i of L are exactly zero until slot i has ever received write mass,
  * and the row's total mass is tracked in a per-row cache (`rowMass()`,
  * the sum of absolute entries in one canonical lane order, refreshed in
- * the same pass that writes the row). A row is *active* — swept by the update and read kernels —
- * only while its cached mass, or its current write weight, exceeds
- * `skipThreshold`; inactive rows are left untouched and contribute
- * nothing to the forward/backward weightings, so every kernel costs
- * O(A*N) instead of O(N^2), with A = active rows.
+ * the same pass that writes the row). A row is *active* — swept by the
+ * update and read kernels — only while its cached mass, or its current
+ * write weight, is nonzero; inactive rows are exactly zero, are left
+ * untouched and contribute nothing to the forward/backward weightings,
+ * so every kernel costs O(A*N) instead of O(N^2), with A = active rows.
  *
  * The sweeps are additionally *column*-sparse: the class tracks the
  * monotone set of slots ever written since the last reset (`touched`
- * slots — w[j] exceeded the threshold at some step). An untouched slot
+ * slots — w[j] was nonzero at some step). An untouched slot
  * j has p[j] == +0.0 and L[i][j] == +0.0 for every i (the update only
  * ever adds w[i]*p[j] into column j), so the linkage update, the mass
  * refresh, the forward dots and the backward accumulations all iterate
@@ -46,28 +46,18 @@ namespace hima {
  * memory hierarchy, so it prefetches the next row block while the
  * current one's read stage computes from cache (see updateAndRead()).
  *
- * At threshold 0 (default) only exactly-zero rows/columns are skipped
- * and every kernel is bit-identical to the dense sweep (a skipped row
- * or column would have computed to all zeros and contributed +0.0
- * everywhere). A positive threshold additionally freezes rows whose
- * mass has decayed below it and drops the sub-threshold precedence
- * mass of untouched columns — the paper-style approximation,
- * quantified by `linkage_skip_sweep` in bench_hot_path. Row activity
- * is a pure function of (L, w) and is rebuilt on restore; the touched
- * set is *not* derivable from (L, p) at positive thresholds, so
- * checkpoints carry it explicitly (restoreState takes it back) — that
- * is what keeps a mid-episode restore's skip behavior indistinguishable
- * from an undisturbed run at any threshold.
+ * Only exactly-zero rows and columns are skipped, so every kernel is
+ * bit-identical to the dense sweep: a skipped row or column would have
+ * computed to all zeros and contributed +0.0 everywhere. Both sets are
+ * rebuilt on restore from (L, p) alone — row activity from the row
+ * masses, the touched set as the columns of L holding a nonzero entry
+ * plus the slots of nonzero precedence (see restoreState()).
  */
 class TemporalLinkage
 {
   public:
-    /**
-     * Construct zeroed state for an N-slot memory.
-     *
-     * @param skipThreshold active-row threshold (see class comment)
-     */
-    explicit TemporalLinkage(Index slots, Real skipThreshold = 0.0);
+    /** Construct zeroed state for an N-slot memory. */
+    explicit TemporalLinkage(Index slots);
 
     /**
      * HR.(1) Linkage update:
@@ -132,7 +122,6 @@ class TemporalLinkage
     const Matrix &linkage() const { return linkage_; }
     const Vector &precedence() const { return precedence_; }
     Index slots() const { return slots_; }
-    Real skipThreshold() const { return skipThreshold_; }
 
     /**
      * Per-row mass cache: rowMass()[i] == sum_j |L[i][j]|, refreshed in
@@ -153,17 +142,16 @@ class TemporalLinkage
     {
         Index active = 0;
         for (Index i = 0; i < slots_; ++i)
-            if (rowMass_[i] > skipThreshold_)
+            if (rowMass_[i] > 0.0)
                 ++active;
         return active;
     }
 
     /**
-     * The monotone touched-slot set: slots whose write weight exceeded
-     * the skip threshold at some step since the last reset, ascending.
-     * This is the column set every sweep iterates, and the set
-     * checkpoints must carry for a restore to reproduce an undisturbed
-     * run at positive thresholds.
+     * The monotone touched-slot set: slots whose write weight was
+     * nonzero at some step since the last reset (or, after a restore,
+     * the set restoreState() derives), ascending. This is the column set
+     * every sweep iterates.
      */
     const std::vector<Index> &touchedSlots() const;
 
@@ -176,15 +164,18 @@ class TemporalLinkage
      * active-row mass cache from the restored matrix — the recompute
      * uses the same per-row summation order as the sweep's refresh, so
      * a restored run's skip decisions are bit-identical to an
-     * undisturbed one at any threshold.
+     * undisturbed one.
      *
-     * `touchedSlots` is the snapshotted touched set (strictly
-     * ascending; fatal otherwise). Columns holding nonzero restored
-     * mass are unioned in defensively, so a faithful snapshot restores
-     * exactly and a hand-edited one stays safe.
+     * The touched set is derived: every column of L holding a nonzero
+     * entry, plus every slot j with p[j] != 0. That can be a subset of
+     * the undisturbed run's set, but only by slots whose linkage column
+     * and precedence are both exactly zero, and the update sweeps such
+     * a column to +0.0 whether it is visited or not — so the restored
+     * run's bits match. The precedence slots are needed: a slot written
+     * once has p[j] > 0 and an all-zero column until another slot is
+     * written, and the next update must visit that column.
      */
-    void restoreState(const Vector &linkageFlat, const Vector &precedence,
-                      const std::vector<Index> &touchedSlots);
+    void restoreState(const Vector &linkageFlat, const Vector &precedence);
 
   private:
     /** updateAndRead() body specialized on the head count R. */
@@ -209,7 +200,6 @@ class TemporalLinkage
     void rebuildMassAndMarkTouched();
 
     Index slots_;
-    Real skipThreshold_;
     Matrix linkage_;
     Vector precedence_;
     Vector rowMass_; ///< per-row sum of |L[i][j]| (see rowMass())

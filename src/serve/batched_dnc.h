@@ -33,7 +33,7 @@
  * outputs and state of an independent Dnc(config, seed) fed slot s's
  * input stream since its admission — for any batch size, any occupancy,
  * any admit/release interleaving of its co-tenants, any thread count,
- * fixed-point on or off, and any writeSkipThreshold. Memory steps are
+ * and fixed-point on or off. Memory steps are
  * per lane and the controller's batching never changes per-lane
  * arithmetic (see BatchedController), so any thread count is
  * bit-identical too.

@@ -28,8 +28,8 @@
  * for a request are bit-identical to a dedicated sequential
  * Dnc(config, seed) fed that request's tokens — regardless of when the
  * request arrived, which slot it landed in, what its co-tenants did
- * (admissions and evictions included), the thread count, fixed-point
- * mode, or writeSkipThreshold. This follows from the engine's per-lane
+ * (admissions and evictions included), the thread count or the
+ * fixed-point mode. This follows from the engine's per-lane
  * contract plus admit()'s in-place episode reset, and is what makes the
  * router's dynamic batching safe to deploy: batching is purely a
  * throughput decision, never an accuracy one.

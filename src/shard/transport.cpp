@@ -688,12 +688,11 @@ shmSlotBytesFor(const DncConfig &shard, Index tiles, Index hostedTiles,
     // (lane, tile), by far the largest frame the protocol produces.
     // The row-sparse tile body peaks at full occupancy: memory N*W and
     // linkage N*N with a u32 index per row (8N), usage + precedence +
-    // write weighting 3N, read weightings R*N, the touched-slot list
-    // 4N, and three u32 counts. The bound below — (4 + R)N Reals, 4N
-    // bytes and 16 bytes of counts per state — covers that worst case
-    // with 4 bytes to spare.
+    // write weighting 3N, read weightings R*N, and two u32 counts. The
+    // bound below — (4 + R)N Reals and 16 bytes of counts per state —
+    // covers that worst case with 8 bytes to spare.
     const std::size_t snapshot =
-        states * (8 * (n * w + n * n + (4 + r) * n) + 4 * n + 16);
+        states * (8 * (n * w + n * n + (4 + r) * n) + 16);
     // Scatter: one interface vector (+ per-entry framing) per lane, or
     // a per-tile step's Nt interfaces.
     const std::size_t iface = 8 * (r * w + 3 * w + 8 * r + 16) + 64;

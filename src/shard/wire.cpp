@@ -62,9 +62,6 @@ WireConfig::fromShard(const DncConfig &shard, Index hostedTiles, Index lanes)
     wc.softmaxSegments = static_cast<std::uint32_t>(shard.softmaxSegments);
     wc.fixedPoint = shard.fixedPoint ? 1 : 0;
     wc.skimRate = shard.skimRate;
-    wc.writeSkipThreshold = shard.writeSkipThreshold;
-    wc.linkageSkipThreshold = shard.linkageSkipThreshold;
-    wc.readSkipThreshold = shard.readSkipThreshold;
     wc.tiles = hostedTiles;
     return wc;
 }
@@ -81,9 +78,6 @@ WireConfig::toShardConfig() const
     cfg.softmaxSegments = static_cast<int>(softmaxSegments);
     cfg.fixedPoint = fixedPoint != 0;
     cfg.skimRate = skimRate;
-    cfg.writeSkipThreshold = writeSkipThreshold;
-    cfg.linkageSkipThreshold = linkageSkipThreshold;
-    cfg.readSkipThreshold = readSkipThreshold;
     return cfg;
 }
 
@@ -413,9 +407,6 @@ putConfigBody(const WireConfig &config, WireWriter &out)
     out.putU32(config.softmaxSegments);
     out.putU8(config.fixedPoint);
     out.putReal(config.skimRate);
-    out.putReal(config.writeSkipThreshold);
-    out.putReal(config.linkageSkipThreshold);
-    out.putReal(config.readSkipThreshold);
     out.putU64(config.tiles);
     out.putU64(config.firstTile);
 }
@@ -433,9 +424,6 @@ readConfigBody(WireReader &in, WireConfig &config)
     config.softmaxSegments = in.u32();
     config.fixedPoint = in.u8();
     config.skimRate = in.real();
-    config.writeSkipThreshold = in.real();
-    config.linkageSkipThreshold = in.real();
-    config.readSkipThreshold = in.real();
     config.tiles = in.u64();
     config.firstTile = in.u64();
 }
@@ -480,21 +468,18 @@ putNonzeroRows(const Real *block, Index n, Index width, WireWriter &out)
 /**
  * Tile-state body, shared by the live-tile (CheckpointState) and
  * snapshot (Restore) encoders so their frames are byte-identical for
- * equal state. Layout: [u32 touchedCount] [ascending u32 slots], the
- * nonzero memory rows and the nonzero linkage rows as row-pair
- * sections (see putNonzeroRows), then usage, precedence and the
- * write and read weightings as raw arrays. The row-norm cache is not
- * shipped; the decoder rebuilds it from the memory rows.
+ * equal state. Layout: the nonzero memory rows and the nonzero linkage
+ * rows as row-pair sections (see putNonzeroRows), then usage,
+ * precedence and the write and read weightings as raw arrays. The
+ * row-norm cache is not shipped; the decoder rebuilds it from the
+ * memory rows, and the restoring tile derives the linkage's touched
+ * set from the linkage and precedence.
  */
 void
 putStateBody(const Real *mem, const Real *usage, const Real *link,
              const Real *prec, const Real *ww, const Real *const *readW,
-             Index n, Index w, Index r, const std::vector<Index> &touched,
-             WireWriter &out)
+             Index n, Index w, Index r, WireWriter &out)
 {
-    out.putU32(static_cast<std::uint32_t>(touched.size()));
-    for (Index s : touched)
-        out.putU32(static_cast<std::uint32_t>(s));
     putNonzeroRows(mem, n, w, out);
     putNonzeroRows(link, n, n, out);
     out.putRealArray(usage, n);
@@ -530,7 +515,7 @@ putTileStateBody(const MemoryUnit &tile, WireWriter &out)
                  tile.linkage().linkage().data(),
                  tile.linkage().precedence().data(),
                  tile.writeWeighting().data(), readW, cfg.memoryRows,
-                 cfg.memoryWidth, r, tile.linkage().touchedSlots(), out);
+                 cfg.memoryWidth, r, out);
 }
 
 void
@@ -544,35 +529,7 @@ putSnapshotBody(const MemoryTileState &s, const DncConfig &shard,
         readW[h] = s.readWeightings[h].data();
     putStateBody(s.memory.data(), s.usage.data(), s.linkage.data(),
                  s.precedence.data(), s.writeWeighting.data(), readW,
-                 shard.memoryRows, shard.memoryWidth, r, s.touchedSlots,
-                 out);
-}
-
-/**
- * Read one ascending-index list section: [u32 count <= n] [u32 x
- * count, strictly ascending, < n] into `out` (capacity-reusing).
- * Fail-closed: any violation trips the reader's sticky flag.
- */
-void
-readAscendingIndices(WireReader &in, Index n, std::vector<Index> &out)
-{
-    const std::uint32_t count = in.u32();
-    out.clear();
-    if (!in.ok() || count > static_cast<std::uint32_t>(n)) {
-        in.fail();
-        return;
-    }
-    std::uint32_t prev = 0;
-    for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t idx = in.u32();
-        if (!in.ok() || idx >= static_cast<std::uint32_t>(n) ||
-            (k > 0 && idx <= prev)) {
-            in.fail();
-            return;
-        }
-        out.push_back(static_cast<Index>(idx));
-        prev = idx;
-    }
+                 shard.memoryRows, shard.memoryWidth, r, out);
 }
 
 /**
@@ -617,9 +574,6 @@ readSnapshotBody(WireReader &in, const DncConfig &shard, MemoryTileState &s)
     // Destinations are sized by the trusted handshake config, never by
     // frame contents; resize reuses capacity in steady state.
     s.sizeFor(shard);
-    readAscendingIndices(in, n, s.touchedSlots);
-    if (!in.ok())
-        return;
 
     // Zero-fill, scatter the shipped rows, and rebuild the row-norm
     // cache with the memory write's own summation order (ascending

@@ -59,9 +59,8 @@
  *
  * Version 6 makes checkpoint traffic active-set sparse. Every tile
  * body now opens with an encoding byte and the linkage's monotone
- * touched-slot list (the column set the sparse sweeps iterate — not
- * derivable from the matrix at positive skip thresholds, so it must
- * ride the frame for a restore to reproduce an undisturbed run).
+ * touched-slot list (the column set the sparse sweeps iterate, which
+ * positive skip thresholds made underivable from the matrix).
  * Encoding 0 is the dense v5 field sequence; encoding 1 ships only the
  * nonzero memory rows and nonzero linkage rows as (u32 index, row)
  * pairs and omits the row-norm cache entirely (the decoder rebuilds it
@@ -89,6 +88,11 @@
  * costs at most 8 bytes more than dense at full occupancy. The
  * handshake drops the dense-sweep byte with the configuration field
  * it carried.
+ *
+ * Version 9 drops the skip thresholds: only exactly-zero rows and
+ * columns are skipped, so the tile body loses its touched-slot list
+ * (a restoring tile derives the set from the linkage and precedence)
+ * and the handshake loses its three skip-threshold Reals.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -108,9 +112,9 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v8: one row-sparse
- * tile body; handshake without the dense-sweep byte). */
-constexpr std::uint8_t kWireVersion = 8;
+/** Protocol version; bumped on any layout change (v9: tile body
+ * without the touched-slot list; handshake without skip thresholds). */
+constexpr std::uint8_t kWireVersion = 9;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
@@ -170,9 +174,6 @@ struct WireConfig
     std::uint32_t softmaxSegments = 8;
     std::uint8_t fixedPoint = 0;
     Real skimRate = 0.0;
-    Real writeSkipThreshold = 0.0;
-    Real linkageSkipThreshold = 0.0;
-    Real readSkipThreshold = 0.0;
     std::uint64_t tiles = 0;     ///< global tile count Nt per lane
     std::uint64_t firstTile = 0; ///< first global tile this worker hosts
 
@@ -441,17 +442,17 @@ void encodeCheckpointRequest(std::uint64_t seq, WireWriter &out);
  * all), so decoders validate the echoed shapes against their own
  * config instead of inferring a mismatch from frame length.
  * Body layout per tile, one encoding for every occupancy:
- * [u32 touchedCount] [u32 slot x touchedCount, strictly ascending]
  * [u32 memRows] [(u32 row, Real x W) x memRows] [u32 linkRows]
  * [(u32 row, Real x N) x linkRows] — both row lists strictly ascending
  * and covering exactly the rows holding a nonzero entry — then usage
  * N, precedence N, writeWeighting N and readWeightings R*N as raw
  * arrays (shapes from the handshake, no per-field counts). The
  * row-norm cache is not shipped; the decoder rebuilds it from the
- * memory rows bit-identically. A saturated tile costs 8 bytes more
- * than the pre-v8 dense body (its 2N row indices cost what the omitted
- * norm block did; the two section counts add 8); shmSlotBytesFor
- * bounds that worst case.
+ * memory rows bit-identically, and neither is the linkage's touched
+ * set, which the restoring tile derives from linkage and precedence.
+ * A saturated tile costs 8 bytes more than shipping every field dense
+ * (its 2N row indices cost what the omitted norm block would; the two
+ * section counts add 8); shmSlotBytesFor bounds that worst case.
  */
 void encodeCheckpointState(std::uint64_t seq,
                            const std::vector<std::unique_ptr<MemoryUnit>>

@@ -4,6 +4,21 @@
 
 namespace hima {
 
+namespace {
+
+/** Recurrent state bytes of one tile of `wire`'s shape (see
+ * kMaxHostedStateBytes): linkage N^2, memory N*W, and the R read
+ * weightings plus usage, precedence, write weighting and row norms. */
+std::uint64_t
+hostedTileStateBytes(const WireConfig &wire)
+{
+    const std::uint64_t n = wire.memoryRows;
+    return sizeof(Real) *
+           (n * n + n * wire.memoryWidth + (wire.readHeads + 4) * n);
+}
+
+} // namespace
+
 bool
 ShardWorker::handleFrame(const std::uint8_t *data, std::size_t size,
                          FrameSink &sink)
@@ -137,12 +152,11 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
                // Negated-conjunction form so NaN (which a bit-cast wire
                // Real can smuggle in) also fails validation.
                !(wire.skimRate >= 0.0 && wire.skimRate < 1.0) ||
-               !(wire.writeSkipThreshold >= 0.0 &&
-                 wire.writeSkipThreshold < 1.0) ||
-               !(wire.linkageSkipThreshold >= 0.0 &&
-                 wire.linkageSkipThreshold < 1.0) ||
-               !(wire.readSkipThreshold >= 0.0 &&
-                 wire.readSkipThreshold < 1.0)) {
+               // Total tile state: the caps above bound each factor
+               // (keeping this product below 2^48), not the product.
+               wire.lanes * wire.hostedTiles *
+                       hostedTileStateBytes(wire) >
+                   kMaxHostedStateBytes) {
         // Shape/datapath validation at connect: mirror DncConfig's
         // rules without tripping its fatal path inside a server.
         ack.ok = false;

@@ -41,6 +41,7 @@
 #ifndef HIMA_SHARD_WORKER_H
 #define HIMA_SHARD_WORKER_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -51,6 +52,15 @@
 #include "shard/wire.h"
 
 namespace hima {
+
+/**
+ * Cap on the recurrent tile state one Hello may make a worker hold:
+ * lanes x hostedTiles x (N^2 + N*W + (R+4)*N) Reals. The per-field caps
+ * alone admit 2^16 tiles of 2 GiB linkage each; this budget bounces
+ * such a handshake in the ack instead of letting it OOM the worker.
+ * 1 GiB is ~120 tiles at the paper's N=1024, W=64.
+ */
+constexpr std::uint64_t kMaxHostedStateBytes = std::uint64_t{1} << 30;
 
 /** Hosts memory tiles and serves the shard wire protocol. */
 class ShardWorker

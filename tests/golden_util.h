@@ -89,6 +89,8 @@ expectLaneStateIdentical(Dnc &ref, const BatchedDnc &engine, Index lane,
         << "precedence diverged";
     EXPECT_TRUE(rm.linkage().rowMass() == bm.linkage().rowMass())
         << "linkage row-mass cache diverged";
+    EXPECT_EQ(rm.linkage().touchedSlots(), bm.linkage().touchedSlots())
+        << "linkage touched set diverged";
     EXPECT_TRUE(ref.controller().lstm().hidden() == engine.laneHidden(lane))
         << "LSTM hidden diverged";
     EXPECT_TRUE(ref.controller().lstm().cell() == engine.laneCell(lane))
@@ -153,12 +155,19 @@ runLockstep(DncConfig cfg, Index batch, Index threads, int steps,
  * reset at the same boundary. Outputs and full per-lane state must stay
  * bit-identical through arbitrary co-tenant churn.
  *
+ * When `zeroRowSkips` is given, it receives the rows the lanes' content
+ * lookups skipped as zero-norm (profiler Similarity skippedRows, summed
+ * over slots): a fresh episode's first write lookup skips every row of
+ * its all-zero memory, so this counts how often the exact-zero skip
+ * ran amid the churn.
+ *
  * cfg.batchSize/cfg.numThreads are overwritten from the arguments.
  */
 inline void
 runChurnLockstep(DncConfig cfg, Index capacity, Index threads, int steps,
                  std::uint64_t weightSeed = 1, std::uint64_t churnSeed = 7,
-                 std::uint64_t inputSeed = 99)
+                 std::uint64_t inputSeed = 99,
+                 std::uint64_t *zeroRowSkips = nullptr)
 {
     cfg.batchSize = capacity;
     cfg.numThreads = threads;
@@ -227,6 +236,14 @@ runChurnLockstep(DncConfig cfg, Index capacity, Index threads, int steps,
             return;
     }
     EXPECT_GT(admissions, 0u) << "churn schedule never admitted a lane";
+    if (zeroRowSkips) {
+        *zeroRowSkips = 0;
+        for (Index slot = 0; slot < capacity; ++slot)
+            *zeroRowSkips += engine.laneMemory(slot)
+                                 .profiler()
+                                 .at(Kernel::Similarity)
+                                 .skippedRows;
+    }
 }
 
 } // namespace golden

@@ -4,10 +4,10 @@
  * BatchedDnc must match an independent reference Dnc run — outputs and
  * complete per-lane state, compared with exact double equality — for
  * every combination of batch size, thread count and datapath mode, plus
- * the feature knobs that change the memory-unit fast path
- * (writeSkipThreshold, usage skimming, approximate softmax). The
- * batched controller the engines share is also checked on its own
- * column-range surface against dedicated Controllers.
+ * the feature knobs that change the memory-unit fast path (usage
+ * skimming, approximate softmax) and the exact-zero row skips of fresh
+ * episodes. The batched controller the engines share is also checked
+ * on its own column-range surface against dedicated Controllers.
  */
 
 #include <tuple>
@@ -64,13 +64,6 @@ INSTANTIATE_TEST_SUITE_P(
 // Feature knobs that alter the memory-unit hot path.
 // --------------------------------------------------------------------
 
-TEST(BatchedDnc, WriteSkipThresholdStaysBitIdentical)
-{
-    DncConfig cfg = tinyConfig();
-    cfg.writeSkipThreshold = 1e-6;
-    golden::runLockstep(cfg, 5, 4, 8, /*weightSeed=*/3, /*inputSeed=*/31);
-}
-
 TEST(BatchedDnc, UsageSkimmingStaysBitIdentical)
 {
     DncConfig cfg = tinyConfig();
@@ -85,24 +78,24 @@ TEST(BatchedDnc, ApproximateSoftmaxStaysBitIdentical)
     golden::runLockstep(cfg, 4, 1, 6, /*weightSeed=*/7, /*inputSeed=*/71);
 }
 
-TEST(BatchedDnc, LinkageSkipThresholdStaysBitIdentical)
+TEST(BatchedDnc, FreshEpisodeZeroRowSkipsStayBitIdentical)
 {
-    DncConfig cfg = tinyConfig();
-    cfg.linkageSkipThreshold = 1e-6;
-    golden::runLockstep(cfg, 5, 4, 8, /*weightSeed=*/9, /*inputSeed=*/41);
-}
-
-TEST(BatchedDnc, LinkageSkipChurnStaysBitIdentical)
-{
-    // Admit/release churn with the linkage approximation on: every
-    // admit's episode reset must clear the lane's active-row set, and
-    // the row-mass compare inside expectLaneStateIdentical pins each
-    // lane's skip decisions to its sequential reference every step.
-    DncConfig cfg = tinyConfig();
-    cfg.linkageSkipThreshold = 1e-6;
-    golden::runChurnLockstep(cfg, /*capacity=*/5, /*threads=*/2, 14,
-                             /*weightSeed=*/21, /*churnSeed=*/9,
-                             /*inputSeed=*/61);
+    // Admit/release churn: every admit's episode reset zeroes the
+    // lane's memory and linkage, so its first write lookup skips every
+    // row as exactly zero while its co-tenants sweep full tiles. The
+    // row-mass and touched-set compares inside expectLaneStateIdentical
+    // pin each lane's skip state to its sequential reference every
+    // step, and re-admitted lanes must have skipped again (more skipped
+    // rows than one fill of the house).
+    const DncConfig cfg = tinyConfig();
+    for (Index threads : {Index(2), Index(4)}) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads);
+        std::uint64_t skips = 0;
+        golden::runChurnLockstep(cfg, /*capacity=*/5, threads, 14,
+                                 /*weightSeed=*/21, /*churnSeed=*/9,
+                                 /*inputSeed=*/61, &skips);
+        EXPECT_GT(skips, 5 * cfg.memoryRows);
+    }
 }
 
 TEST(BatchedDnc, BeyondOneLaneChunkStaysBitIdentical)

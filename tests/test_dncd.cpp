@@ -203,9 +203,9 @@ fullScanConfidence(const Matrix &mem, const Vector &key, Real strength)
 }
 
 /**
- * At readSkipThreshold 0 the scorer folds never-written rows in as a
- * literal 0.0 without their dot; that must equal the full scan bit for
- * bit, including when a zero row holds the maximum.
+ * The scorer folds never-written (zero-norm) rows in as a literal 0.0
+ * without their dot; that must equal the full scan bit for bit,
+ * including when a zero row holds the maximum.
  */
 TEST(DncD, ConfidenceZeroNormSkipMatchesFullScan)
 {

@@ -225,7 +225,7 @@ sparseWritePattern(Rng &rng, Index n, int step)
 /**
  * Property test for the active-row sweep: under random sparse write
  * patterns, the fused updateAndRead() and the standalone forward/
- * backward kernels at threshold 0 are bit-identical to the dense
+ * backward kernels are bit-identical to the dense
  * oracle's equations, and the profiler's skipped-row counts match the
  * activity predicted from the oracle's matrix at every step.
  */
@@ -238,7 +238,7 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
     const Index heads = static_cast<Index>(GetParam());
     Rng rng(0xbeef + heads);
 
-    TemporalLinkage sparse(n); // threshold 0, skipping enabled
+    TemporalLinkage sparse(n); // exact-zero skipping enabled
     Matrix denseLink(n, n);    // the oracle's linkage and precedence
     Vector densePrec(n);
     KernelProfiler profSparse;
@@ -374,70 +374,67 @@ denseWritePattern(Rng &rng, Index n)
 }
 
 /**
- * restoreState() must rebuild the row-mass cache from the restored
- * matrix so that a restored instance makes bit-identical skip decisions
- * to the undisturbed one — at threshold 0 and at a paper-style positive
- * threshold. `writes(rng, step)` draws the write weighting of a step.
+ * restoreState() must rebuild the row-mass cache and derive the touched
+ * set from the restored matrix and precedence so that a restored
+ * instance makes bit-identical skip decisions to the undisturbed one.
+ * `writes(rng, step)` draws the write weighting of a step.
  */
 template <typename WritePattern>
 void
 expectRestoreBitIdentical(Index n, Index heads, WritePattern writes)
 {
-    for (Real threshold : {0.0, 1e-6}) {
-        SCOPED_TRACE(::testing::Message() << "threshold " << threshold);
-        Rng rng(77);
-        TemporalLinkage undisturbed(n, threshold);
-        TemporalLinkage victim(n, threshold);
+    Rng rng(77);
+    TemporalLinkage undisturbed(n);
+    TemporalLinkage victim(n);
 
-        std::vector<Vector> prevReads(heads), fU, bU, fV, bV;
-        auto stepBoth = [&](int step) {
-            const Vector w = writes(rng, step);
-            for (auto &pr : prevReads) {
-                pr = rng.uniformVector(n);
-                pr = scale(pr, 1.0 / pr.sum());
-            }
-            undisturbed.updateAndRead(w, prevReads, fU, bU, nullptr);
-            victim.updateAndRead(w, prevReads, fV, bV, nullptr);
-            undisturbed.updatePrecedence(w);
-            victim.updatePrecedence(w);
-        };
-        for (int step = 0; step < 20; ++step)
-            stepBoth(step);
-
-        // Snapshot mid-run, then wreck the victim with unrelated
-        // traffic so the restore has real work to undo.
-        Vector flat(n * n), prec(n);
-        std::copy(undisturbed.linkage().data(),
-                  undisturbed.linkage().data() + n * n, flat.begin());
-        std::copy(undisturbed.precedence().begin(),
-                  undisturbed.precedence().end(), prec.begin());
-        Rng wrecker(123);
-        for (int step = 0; step < 5; ++step) {
-            Vector w = wrecker.uniformVector(n);
-            w = scale(w, 0.9 / w.sum());
-            victim.updateLinkage(w);
-            victim.updatePrecedence(w);
+    std::vector<Vector> prevReads(heads), fU, bU, fV, bV;
+    auto stepBoth = [&](int step) {
+        const Vector w = writes(rng, step);
+        for (auto &pr : prevReads) {
+            pr = rng.uniformVector(n);
+            pr = scale(pr, 1.0 / pr.sum());
         }
+        undisturbed.updateAndRead(w, prevReads, fU, bU, nullptr);
+        victim.updateAndRead(w, prevReads, fV, bV, nullptr);
+        undisturbed.updatePrecedence(w);
+        victim.updatePrecedence(w);
+    };
+    for (int step = 0; step < 20; ++step)
+        stepBoth(step);
 
-        victim.restoreState(flat, prec, undisturbed.touchedSlots());
-        ASSERT_TRUE(victim.linkage() == undisturbed.linkage());
-        ASSERT_TRUE(victim.precedence() == undisturbed.precedence());
-        // The rebuilt cache is bit-identical to the incrementally
-        // maintained one (same values, same summation order).
-        ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass());
+    // Snapshot mid-run, then wreck the victim with unrelated
+    // traffic so the restore has real work to undo.
+    Vector flat(n * n), prec(n);
+    std::copy(undisturbed.linkage().data(),
+              undisturbed.linkage().data() + n * n, flat.begin());
+    std::copy(undisturbed.precedence().begin(),
+              undisturbed.precedence().end(), prec.begin());
+    Rng wrecker(123);
+    for (int step = 0; step < 5; ++step) {
+        Vector w = wrecker.uniformVector(n);
+        w = scale(w, 0.9 / w.sum());
+        victim.updateLinkage(w);
+        victim.updatePrecedence(w);
+    }
 
-        // And the continuation diverges nowhere: same sweeps, same
-        // skips, same bits.
-        for (int step = 20; step < 40; ++step) {
-            stepBoth(step);
-            ASSERT_TRUE(victim.linkage() == undisturbed.linkage())
-                << "step " << step;
-            ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass())
-                << "step " << step;
-            for (Index h = 0; h < heads; ++h) {
-                EXPECT_TRUE(fV[h] == fU[h]);
-                EXPECT_TRUE(bV[h] == bU[h]);
-            }
+    victim.restoreState(flat, prec);
+    ASSERT_TRUE(victim.linkage() == undisturbed.linkage());
+    ASSERT_TRUE(victim.precedence() == undisturbed.precedence());
+    // The rebuilt cache is bit-identical to the incrementally
+    // maintained one (same values, same summation order).
+    ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass());
+
+    // And the continuation diverges nowhere: same sweeps, same
+    // skips, same bits.
+    for (int step = 20; step < 40; ++step) {
+        stepBoth(step);
+        ASSERT_TRUE(victim.linkage() == undisturbed.linkage())
+            << "step " << step;
+        ASSERT_TRUE(victim.rowMass() == undisturbed.rowMass())
+            << "step " << step;
+        for (Index h = 0; h < heads; ++h) {
+            EXPECT_TRUE(fV[h] == fU[h]);
+            EXPECT_TRUE(bV[h] == bU[h]);
         }
     }
 }
@@ -448,6 +445,39 @@ TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
     expectRestoreBitIdentical(32, 2, [](Rng &rng, int step) {
         return sparseWritePattern(rng, 32, step);
     });
+}
+
+/**
+ * A slot written once has nonzero precedence but an all-zero linkage
+ * column until the next write, which must then fill L[next][slot]. The
+ * restored touched set therefore has to include the slots of nonzero
+ * precedence, not only the columns holding linkage mass: snapshot right
+ * after single one-hot writes and check that the next update lands.
+ */
+TEST(SparseLinkage, RestoreTouchesSlotsOfNonzeroPrecedence)
+{
+    const Index n = 8;
+    TemporalLinkage undisturbed(n);
+    undisturbed.updateLinkage(oneHot(n, 3));
+    undisturbed.updatePrecedence(oneHot(n, 3));
+    ASSERT_EQ(undisturbed.linkage().data()[5 * n + 3], 0.0);
+
+    Vector flat(n * n), prec(n);
+    std::copy(undisturbed.linkage().data(),
+              undisturbed.linkage().data() + n * n, flat.begin());
+    std::copy(undisturbed.precedence().begin(),
+              undisturbed.precedence().end(), prec.begin());
+    TemporalLinkage restored(n);
+    restored.restoreState(flat, prec);
+    EXPECT_EQ(restored.touchedSlots(), undisturbed.touchedSlots());
+
+    for (TemporalLinkage *tl : {&undisturbed, &restored}) {
+        tl->updateLinkage(oneHot(n, 5));
+        tl->updatePrecedence(oneHot(n, 5));
+    }
+    EXPECT_EQ(restored.linkage().data()[5 * n + 3], 1.0);
+    EXPECT_TRUE(restored.linkage() == undisturbed.linkage());
+    EXPECT_TRUE(restored.rowMass() == undisturbed.rowMass());
 }
 
 /**

@@ -6,8 +6,8 @@
  * the dynamic-batching router is bit-identical to a dedicated sequential
  * Dnc run of the same token stream — regardless of when the request
  * arrived, which slot it landed in, what admissions/evictions its
- * co-tenants went through, the thread count, fixed-point mode, or
- * writeSkipThreshold. Engine-level churn is covered by the randomized
+ * co-tenants went through, the thread count or fixed-point mode.
+ * Engine-level churn is covered by the randomized
  * admit/evict lockstep in golden_util.h; router-level by replaying
  * Poisson and bursty arrival traces and checking every completed
  * request against a reference model. Lifecycle mechanics, admission
@@ -67,12 +67,15 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(info.param) ? "Fixed" : "Float");
     });
 
-TEST(LaneChurn, WriteSkipThresholdStaysBitIdentical)
+TEST(LaneChurn, FreshEpisodeZeroRowSkipsStayBitIdentical)
 {
-    DncConfig cfg = tinyConfig();
-    cfg.writeSkipThreshold = 1e-6;
+    // Every admitted episode's first step skips its all-zero rows;
+    // re-admissions must skip again without disturbing co-tenants.
+    const DncConfig cfg = tinyConfig();
+    std::uint64_t skips = 0;
     golden::runChurnLockstep(cfg, 5, 4, 12, /*weightSeed=*/3,
-                             /*churnSeed=*/11, /*inputSeed=*/31);
+                             /*churnSeed=*/11, /*inputSeed=*/31, &skips);
+    EXPECT_GT(skips, 5 * cfg.memoryRows);
 }
 
 TEST(LaneChurn, CrossesTheLaneChunkBoundary)

@@ -893,20 +893,11 @@ class ShardRecoveryGolden
           std::tuple<ClusterTransport, int, bool, GoldenBackend>>
 {};
 
-/**
- * The scripted-kill recovery body, parameterized additionally on the
- * linkage skip threshold: at a positive threshold the sparse sweep's
- * skip decisions derive from the row-mass cache, which the restore
- * path must rebuild bit-identically from the checkpointed matrix (and
- * the v4 handshake must carry the knob to respawned workers).
- */
-void
-runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
-                  Real linkageSkipThreshold, GoldenBackend backend)
+TEST_P(ShardRecoveryGolden, KilledWorkersRestoreBitIdenticalToUndisturbed)
 {
+    const auto [transport, tiles, fixedPoint, backend] = GetParam();
     DncConfig cfg = gridConfig(tiles, 1, fixedPoint);
     cfg.shardCheckpointIntervalSteps = 4;
-    cfg.linkageSkipThreshold = linkageSkipThreshold;
 
     GoldenFleet fleet = makeGoldenFleet(backend, transport, cfg, tiles);
     TileMemory &memory = *fleet.memory;
@@ -959,20 +950,6 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     EXPECT_EQ(harness->workers.size(), 2u); // one replacement per kill
     // Checkpoints land at steps 4, 8, 12 and 16.
     EXPECT_EQ(fleet.group->checkpointsTaken(), 4u);
-}
-
-TEST_P(ShardRecoveryGolden, KilledWorkersRestoreBitIdenticalToUndisturbed)
-{
-    const auto [transport, tiles, fixedPoint, backend] = GetParam();
-    runRecoveryGolden(transport, tiles, fixedPoint,
-                      /*linkageSkipThreshold=*/0.0, backend);
-}
-
-TEST(ShardRecoveryLinkageSkim, NonzeroThresholdRestoresBitIdentical)
-{
-    runRecoveryGolden(ClusterTransport::UnixSocket, 4, false,
-                      /*linkageSkipThreshold=*/1e-6,
-                      GoldenBackend::Coordinator);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1267,16 +1244,32 @@ TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
 
 TEST(ShardWorkerProtocol, InvalidConfigIsRejectedInTheAck)
 {
-    // Zero shapes, and tile assignments that do not fit inside the Nt
-    // tiles a per-tile LaneStep entry carries.
+    // Zero shapes, tile assignments that do not fit inside the Nt
+    // tiles a per-tile LaneStep entry carries, and handshakes whose
+    // every field is inside its cap but whose hosted tile state is not
+    // inside kMaxHostedStateBytes (the worker would allocate it all).
     const DncConfig shard = shardConfigFor(gridConfig(4, 1, false), 4);
-    std::vector<WireConfig> bad(4, WireConfig::fromShard(shard, 2));
+    std::vector<WireConfig> bad(7, WireConfig::fromShard(shard, 2));
     bad[0] = WireConfig();
     bad[1].tiles = 3;
     bad[1].firstTile = 2; // tiles 2..3 of a 3-tile fleet
     bad[2].tiles = 4;
     bad[2].firstTile = 5; // starts past the fleet
     bad[3].tiles = 1u << 20; // beyond the Nt cap
+    bad[4].memoryRows = 1u << 14; // 2 GiB of linkage per tile
+    bad[5].memoryRows = 4096;     // 16 tiles of 128 MiB linkage
+    bad[5].lanes = 8;
+    bad[6].memoryRows = 1024;     // 2^16 tiles of 8 MiB linkage
+    bad[6].lanes = 4096;
+    bad[6].hostedTiles = 16;
+    bad[6].tiles = 16;
+    for (Index i = 4; i < bad.size(); ++i) {
+        const WireConfig &c = bad[i];
+        const std::uint64_t n = c.memoryRows;
+        EXPECT_GT(c.lanes * c.hostedTiles * sizeof(Real) * n * n,
+                  kMaxHostedStateBytes)
+            << "entry " << i << " must be over budget";
+    }
     for (const WireConfig &config : bad) {
         ShardWorker worker;
         CollectSink sink;

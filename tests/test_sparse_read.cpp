@@ -2,19 +2,17 @@
  * @file
  * End-to-end active-set sparsity suite: the sparse read stage
  * (norm-cache similarity skip + sparse memory read), the column-sparse
- * linkage sweeps, skip-count accounting against the profiler, the
- * one-pass restore-rebuild contract, and the new config validations.
+ * linkage sweeps, skip-count accounting against the profiler, and the
+ * one-pass restore-rebuild contract.
  */
 
 #include <cmath>
-#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "dnc/memory_unit.h"
 #include "dense_oracle.h"
-#include "dnc/temporal_linkage.h"
 #include "golden_util.h"
 
 namespace hima {
@@ -75,39 +73,12 @@ expectUnitsIdentical(const MemoryUnit &a, const MemoryUnit &b, int step)
 
 } // namespace
 
-// ------------------------------------------------------------- validate
-
-TEST(SparseConfigDeathTest, RejectsNegativeLinkageSkipThreshold)
-{
-    DncConfig cfg = sparseCfg();
-    cfg.linkageSkipThreshold = -1e-6;
-    EXPECT_DEATH(cfg.validate(), "linkage skip threshold");
-}
-
-TEST(SparseConfigDeathTest, RejectsNanLinkageSkipThreshold)
-{
-    DncConfig cfg = sparseCfg();
-    cfg.linkageSkipThreshold = std::numeric_limits<Real>::quiet_NaN();
-    EXPECT_DEATH(cfg.validate(), "linkage skip threshold");
-}
-
-TEST(SparseConfigDeathTest, RejectsBadReadSkipThreshold)
-{
-    DncConfig cfg = sparseCfg();
-    cfg.readSkipThreshold = -0.5;
-    EXPECT_DEATH(cfg.validate(), "read skip threshold");
-    cfg.readSkipThreshold = 1.0;
-    EXPECT_DEATH(cfg.validate(), "read skip threshold");
-    cfg.readSkipThreshold = std::numeric_limits<Real>::quiet_NaN();
-    EXPECT_DEATH(cfg.validate(), "read skip threshold");
-}
-
 // ------------------------------------------------------ sparse == dense
 
 /**
- * The standing contract: at threshold 0 the sparse read stage, sparse
- * memory read and column-sparse linkage sweeps are bit-identical to the
- * dense DNC equations, as computed by the test-side oracle, across
+ * The standing contract: the sparse read stage, sparse memory read and
+ * column-sparse linkage sweeps are bit-identical to the dense DNC
+ * equations, as computed by the test-side oracle, across
  * allocation-gated one-hot traffic, mixed soft traffic and episode
  * resets (a fresh oracle per episode). The row-norm cache, which the
  * oracle recomputes per lookup instead of keeping, must equal a fresh
@@ -274,31 +245,33 @@ TEST(SparseRestore, FixedPointRestoreRebuildsNormsBitExactly)
 }
 
 /**
- * At positive skip thresholds the touched set is not derivable from the
- * snapshot matrices, so restoreState carries it explicitly; a restored
- * run's skip decisions must match the undisturbed run bit-for-bit.
+ * A restore mid-way through allocation-gated one-hot traffic, while
+ * most slots are untouched and the newest slot holds precedence but no
+ * linkage mass yet: the derived touched set equals the undisturbed
+ * run's, and the continuation, one-hot and soft, matches bit-for-bit.
  */
-TEST(SparseRestore, PositiveThresholdRestoreMatchesUndisturbedRun)
+TEST(SparseRestore, EarlyEpisodeRestoreMatchesUndisturbedRun)
 {
-    DncConfig cfg = sparseCfg();
-    cfg.linkageSkipThreshold = 1e-2;
-    cfg.readSkipThreshold = 1e-2;
+    const DncConfig cfg = sparseCfg();
     MemoryUnit live(cfg);
     MemoryReadout out;
     Rng rng(31);
-    for (int step = 0; step < 25; ++step)
-        live.stepInto(step % 5 == 0 ? allocationIface(cfg, rng)
-                                    : golden::randomIface(cfg, rng),
-                      out);
+    for (int step = 0; step < 6; ++step)
+        live.stepInto(allocationIface(cfg, rng), out);
 
     MemoryTileState snap;
     live.captureState(snap);
     MemoryUnit restored(cfg);
     restored.restoreState(snap);
+    ASSERT_EQ(live.linkage().touchedSlots().size(), 6u);
+    EXPECT_EQ(restored.linkage().touchedSlots(),
+              live.linkage().touchedSlots());
 
     MemoryReadout ra, rb;
     for (int step = 0; step < 20; ++step) {
-        const InterfaceVector iface = golden::randomIface(cfg, rng);
+        const InterfaceVector iface = step < 6
+                                          ? allocationIface(cfg, rng)
+                                          : golden::randomIface(cfg, rng);
         live.stepInto(iface, ra);
         restored.stepInto(iface, rb);
         for (Index h = 0; h < cfg.readHeads; ++h)
@@ -306,41 +279,8 @@ TEST(SparseRestore, PositiveThresholdRestoreMatchesUndisturbedRun)
                 << "head " << h << " step " << step;
         expectUnitsIdentical(live, restored, step);
     }
-    MemoryTileState a, b;
-    live.captureState(a);
-    restored.captureState(b);
-    EXPECT_EQ(a.touchedSlots, b.touchedSlots);
-}
-
-TEST(SparseRestoreDeathTest, LinkageRestoreRejectsUnsortedTouchedSlots)
-{
-    TemporalLinkage tl(8);
-    const Vector flat(64, 0.0);
-    const Vector prec(8, 0.0);
-    EXPECT_DEATH(tl.restoreState(flat, prec, {3, 1}), "out of order");
-}
-
-// -------------------------------------------------------------- batched
-
-/**
- * Per-lane active sets stay independent through batched stepping: a
- * batched engine with positive skip thresholds matches per-lane
- * reference runs bit-for-bit (golden_util asserts full per-lane state,
- * including the linkage row-mass cache, every step).
- */
-TEST(SparseReadStage, BatchedLanesKeepIndependentActiveSets)
-{
-    DncConfig cfg;
-    cfg.memoryRows = 24;
-    cfg.memoryWidth = 12;
-    cfg.readHeads = 2;
-    cfg.controllerSize = 24;
-    cfg.inputSize = 10;
-    cfg.outputSize = 8;
-    cfg.linkageSkipThreshold = 1e-2;
-    cfg.readSkipThreshold = 1e-2;
-    golden::runLockstep(cfg, /*batch=*/3, /*threads=*/2, /*steps=*/10,
-                        /*weightSeed=*/21, /*inputSeed=*/91);
+    EXPECT_EQ(restored.linkage().touchedSlots(),
+              live.linkage().touchedSlots());
 }
 
 } // namespace hima

@@ -580,17 +580,33 @@ TEST(RowNormCache, MatchesFreshNormsAfterRandomizedWrites)
     }
 }
 
-TEST(RowNormCache, HoldsUnderWriteSkipThreshold)
+TEST(RowNormCache, HoldsUnderZeroWeightWriteSkips)
 {
-    // With a positive skip threshold, low-weight rows are not written at
-    // all — so the cache must still match the *actual* memory exactly.
-    DncConfig cfg = smallConfig();
-    cfg.writeSkipThreshold = 1e-6;
+    // Allocation-gated writes are exactly one-hot while zero-usage slots
+    // remain, so every other row has write weight 0 and is skipped by
+    // the memory write — the cache must still match the *actual*
+    // memory, through the one-hot phase and the soft traffic after it.
+    const DncConfig cfg = smallConfig();
     MemoryUnit mu(cfg);
     Rng rng(102);
     for (int step = 0; step < 40; ++step) {
-        mu.step(randomIface(cfg, rng));
+        InterfaceVector iface = randomIface(cfg, rng);
+        const bool oneHot = step < 16;
+        if (oneHot) {
+            iface.allocationGate = 1.0;
+            iface.writeGate = 1.0;
+        }
+        mu.step(iface);
         expectNormCacheFresh(mu);
+        if (oneHot) {
+            Index zeroRows = 0;
+            for (Index i = 0; i < cfg.memoryRows; ++i)
+                if (mu.rowNorms()[i] == 0.0 &&
+                    mu.memory().row(i).norm() == 0.0)
+                    ++zeroRows;
+            EXPECT_EQ(zeroRows, cfg.memoryRows - (step + 1))
+                << "step " << step << ": skipped rows must stay zero";
+        }
     }
 }
 

@@ -65,8 +65,6 @@ TEST(Wire, HelloRoundTrip)
     DncConfig cfg = shardCfg();
     cfg.fixedPoint = true;
     cfg.skimRate = 0.25;
-    cfg.writeSkipThreshold = 1e-9;
-    cfg.linkageSkipThreshold = 1e-6;
     cfg.approximateSoftmax = true;
     cfg.softmaxSegments = 12;
     cfg.numThreads = 4;
@@ -87,8 +85,6 @@ TEST(Wire, HelloRoundTrip)
     EXPECT_EQ(back.approximateSoftmax, cfg.approximateSoftmax);
     EXPECT_EQ(back.softmaxSegments, cfg.softmaxSegments);
     EXPECT_EQ(back.skimRate, cfg.skimRate);
-    EXPECT_EQ(back.writeSkipThreshold, cfg.writeSkipThreshold);
-    EXPECT_EQ(back.linkageSkipThreshold, cfg.linkageSkipThreshold);
     EXPECT_EQ(back.numThreads, cfg.numThreads);
 }
 
@@ -810,15 +806,16 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
 TEST(WireVersionSkew, V6PeerIsRejectedAtTheHandshakeAndStepFrames)
 {
     // v7 changed the handshake body and the LaneStep entry layout, and
-    // v8 the handshake body and the checkpoint tile body, so a v6 or v7
-    // peer must fail closed at peekType and at every decoder that would
-    // otherwise misread its frames.
-    ASSERT_EQ(kWireVersion, 8u);
+    // v8 and v9 the handshake body and the checkpoint tile body, so a
+    // v6, v7 or v8 peer must fail closed at peekType and at every
+    // decoder that would otherwise misread its frames.
+    ASSERT_EQ(kWireVersion, 9u);
     const DncConfig cfg = shardCfg();
     const InterfaceVector iface = sampleIface(cfg, 61);
     std::vector<std::unique_ptr<MemoryUnit>> tiles;
     tiles.push_back(std::make_unique<MemoryUnit>(cfg));
-    for (const std::uint8_t version : {std::uint8_t(6), std::uint8_t(7)}) {
+    for (const std::uint8_t version :
+         {std::uint8_t(6), std::uint8_t(7), std::uint8_t(8)}) {
         SCOPED_TRACE(::testing::Message() << "peer v" << int(version));
         WireWriter w;
         encodeHello(WireConfig::fromShard(cfg, 2), w);
@@ -978,7 +975,7 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 // Frame byte offsets used below (no transport length prefix in the
 // writer buffer): header 4 (magic u16, version u8, type u8), seq u64 at
 // 4, tile count u32 at 12, shape echo N/W/R u32s at 16/20/24, first
-// tile body at 28: [u32 touchedCount][u32 slots...][u32 memRows]...
+// tile body at 28: [u32 memRows][(u32 row, Real x W)...][u32 linkRows]...
 // --------------------------------------------------------------------
 
 /** One allocation-gated one-hot write (touches exactly one fresh slot). */
@@ -1014,8 +1011,7 @@ tileBodyBytes(const MemoryTileState &state, const DncConfig &cfg)
     const std::size_t n = cfg.memoryRows;
     const std::size_t w = cfg.memoryWidth;
     const std::size_t r = cfg.readHeads;
-    return 12 + 4 * state.touchedSlots.size() +
-           nonzeroRows(state.memory, n, w) * (4 + 8 * w) +
+    return 8 + nonzeroRows(state.memory, n, w) * (4 + 8 * w) +
            nonzeroRows(state.linkage, n, n) * (4 + 8 * n) + 8 * n * (3 + r);
 }
 
@@ -1032,16 +1028,20 @@ expectStatesEqual(const MemoryTileState &decoded,
     ASSERT_EQ(decoded.readWeightings.size(), captured.readWeightings.size());
     for (Index h = 0; h < decoded.readWeightings.size(); ++h)
         EXPECT_TRUE(decoded.readWeightings[h] == captured.readWeightings[h]);
-    EXPECT_EQ(decoded.touchedSlots, captured.touchedSlots);
 }
 
-/** Restore a replica from `decoded` and lockstep it with `live`. */
+/**
+ * Restore a replica from `decoded`, check that the touched set it
+ * derives is the live tile's, and lockstep it with `live`.
+ */
 void
 expectReplicaLocksteps(MemoryUnit &live, const MemoryTileState &decoded,
                        const DncConfig &cfg, std::uint64_t seed)
 {
     MemoryUnit replica(cfg);
     replica.restoreState(decoded);
+    EXPECT_EQ(replica.linkage().touchedSlots(),
+              live.linkage().touchedSlots());
     MemoryReadout a, b;
     for (int step = 0; step < 4; ++step) {
         const InterfaceVector iface = sampleIface(cfg, seed + step);
@@ -1070,7 +1070,7 @@ TEST(WireV8, EarlyEpisodeBodyShipsOnlyNonzeroRows)
     // exactly those rows plus the raw usage/precedence/weightings.
     MemoryTileState captured;
     tiles[0]->captureState(captured);
-    EXPECT_EQ(captured.touchedSlots.size(), 3u);
+    EXPECT_EQ(tiles[0]->linkage().touchedSlots().size(), 3u);
     EXPECT_EQ(nonzeroRows(captured.memory, cfg.memoryRows,
                           cfg.memoryWidth),
               3u);
@@ -1079,8 +1079,8 @@ TEST(WireV8, EarlyEpisodeBodyShipsOnlyNonzeroRows)
     EXPECT_EQ(frame.buffer().size(),
               kFirstTileOffset + tileBodyBytes(captured, cfg));
 
-    // The frame decodes to the exact captured state (row norms rebuilt,
-    // touched set carried) and restores a bit-exact replica.
+    // The frame decodes to the exact captured state (row norms rebuilt)
+    // and restores a bit-exact replica.
     MemoryTileState decoded;
     MemoryTileState *slots[] = {&decoded};
     std::uint64_t seq = 0;
@@ -1129,7 +1129,7 @@ TEST(WireV8, SaturatedTileRoundTripsAndFitsItsShmSlot)
             std::size_t expectedBytes = kFirstTileOffset;
             for (Index t = 0; t < count; ++t) {
                 tiles[t]->captureState(captured[t]);
-                ASSERT_EQ(captured[t].touchedSlots.size(), rows);
+                ASSERT_EQ(tiles[t]->linkage().touchedSlots().size(), rows);
                 ASSERT_EQ(nonzeroRows(captured[t].memory, rows,
                                       cfg.memoryWidth),
                           rows);
@@ -1175,29 +1175,24 @@ TEST(WireV6Malformed, SparseFrameValidationFailsClosed)
     ASSERT_TRUE(decodeCheckpointState(w.buffer().data(), w.buffer().size(),
                                       cfg, slots, 1, seq));
 
-    // Touched-slot index out of range (low byte of the first u32 slot).
+    // The memory-row section opens the tile body: its count is capped
+    // by N, and its first row index must be in range.
+    const std::size_t memRowsAt = kFirstTileOffset;
     std::vector<std::uint8_t> frame = w.buffer();
-    frame[kFirstTileOffset + 4] = 0xFF;
-    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
-                                       slots, 1, seq));
-
-    // Non-ascending touched list: overwrite the second slot with the
-    // first (strictly-ascending check must reject equality too).
-    frame = w.buffer();
-    for (int i = 0; i < 4; ++i)
-        frame[kFirstTileOffset + 8 + i] = frame[kFirstTileOffset + 4 + i];
-    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
-                                       slots, 1, seq));
-
-    // The memory-row section follows the 3 touched slots: its count
-    // is capped by N, and its first row index must be in range.
-    const std::size_t memRowsAt = kFirstTileOffset + 4 + 4 * 3;
-    frame = w.buffer();
     frame[memRowsAt] = static_cast<std::uint8_t>(cfg.memoryRows + 1);
     EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
                                        slots, 1, seq));
     frame = w.buffer();
     frame[memRowsAt + 4] = 0xFF;
+    EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
+                                       slots, 1, seq));
+
+    // Non-ascending memory rows: overwrite the second row index with
+    // the first (the strictly-ascending check must reject equality).
+    const std::size_t secondRowAt = memRowsAt + 4 + 4 + 8 * cfg.memoryWidth;
+    frame = w.buffer();
+    for (int i = 0; i < 4; ++i)
+        frame[secondRowAt + i] = frame[memRowsAt + 4 + i];
     EXPECT_FALSE(decodeCheckpointState(frame.data(), frame.size(), cfg,
                                        slots, 1, seq));
 
