@@ -357,35 +357,143 @@ matTVecInto(const Matrix &m, const Vector &x, Vector &y)
     }
 }
 
-Index
-matTVecSparseInto(const Matrix &m, const Vector &x, const Vector &rowGate,
-                  Vector &y)
+namespace {
+
+/**
+ * One column block [c0, c0 + width) of matTVecSparseMultiInto for R
+ * vectors: acc[h][b] is the chain of column c0 + b of output h, kept in
+ * a register across all rows. B is the block width the compiler sees;
+ * a tail block passes width < B.
+ */
+template <Index R, Index B>
+inline void
+matTVecColumnBlock(const Real *pm, Index rows, Index cols, Index c0,
+                   Index width, const Real *const *px, const Real *pg,
+                   Real *const *py)
 {
-    HIMA_ASSERT(m.rows() == x.size(), "matTVecSparseInto: rows %zu != x %zu",
-                m.rows(), x.size());
+    Real acc[R][B] = {};
+    for (Index r = 0; r < rows; ++r) {
+        if (pg[r] <= 0.0)
+            continue;
+        const Real *row = pm + r * cols + c0;
+        for (Index h = 0; h < R; ++h) {
+            const Real xv = px[h][r];
+            for (Index b = 0; b < B; ++b)
+                if (b < width)
+                    acc[h][b] += row[b] * xv;
+        }
+    }
+    for (Index h = 0; h < R; ++h)
+        for (Index b = 0; b < width; ++b)
+            py[h][c0 + b] = acc[h][b];
+}
+
+/**
+ * matTVecSparseMultiInto body for a compile-time vector count R: full
+ * blocks of B columns, then one narrower tail block. Eight vectors use
+ * four-column blocks so the 32 chains still fit the register file.
+ */
+template <Index R>
+void
+matTVecMulti(const Real *pm, Index rows, Index cols, const Vector *xs,
+             const Real *pg, Vector *ys)
+{
+    constexpr Index B = R >= 8 ? 4 : 8;
+    const Real *px[R];
+    Real *py[R];
+    for (Index h = 0; h < R; ++h) {
+        px[h] = xs[h].data();
+        py[h] = ys[h].data();
+    }
+    Index c0 = 0;
+    for (; c0 + B <= cols; c0 += B)
+        matTVecColumnBlock<R, B>(pm, rows, cols, c0, B, px, pg, py);
+    if (c0 < cols)
+        matTVecColumnBlock<R, B>(pm, rows, cols, c0, cols - c0, px, pg,
+                                 py);
+}
+
+#if defined(__AVX2__)
+/**
+ * Four vectors, eight columns: the 4 x 8 chains are eight __m256d
+ * registers, each row costs two loads of M and four broadcasts, and
+ * multiply then add round separately (no FMA), exactly as the scalar
+ * chains do. A tail narrower than eight columns takes the generic block.
+ */
+template <>
+void
+matTVecMulti<4>(const Real *pm, Index rows, Index cols, const Vector *xs,
+                const Real *pg, Vector *ys)
+{
+    const Real *px[4] = {xs[0].data(), xs[1].data(), xs[2].data(),
+                         xs[3].data()};
+    Real *py[4] = {ys[0].data(), ys[1].data(), ys[2].data(), ys[3].data()};
+    Index c0 = 0;
+    for (; c0 + 8 <= cols; c0 += 8) {
+        __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+        __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+        __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+        __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+        for (Index r = 0; r < rows; ++r) {
+            if (pg[r] <= 0.0)
+                continue;
+            const Real *row = pm + r * cols + c0;
+            const __m256d lo = _mm256_loadu_pd(row);
+            const __m256d hi = _mm256_loadu_pd(row + 4);
+            const __m256d v0 = _mm256_broadcast_sd(px[0] + r);
+            const __m256d v1 = _mm256_broadcast_sd(px[1] + r);
+            const __m256d v2 = _mm256_broadcast_sd(px[2] + r);
+            const __m256d v3 = _mm256_broadcast_sd(px[3] + r);
+            a0 = _mm256_add_pd(a0, _mm256_mul_pd(lo, v0));
+            b0 = _mm256_add_pd(b0, _mm256_mul_pd(hi, v0));
+            a1 = _mm256_add_pd(a1, _mm256_mul_pd(lo, v1));
+            b1 = _mm256_add_pd(b1, _mm256_mul_pd(hi, v1));
+            a2 = _mm256_add_pd(a2, _mm256_mul_pd(lo, v2));
+            b2 = _mm256_add_pd(b2, _mm256_mul_pd(hi, v2));
+            a3 = _mm256_add_pd(a3, _mm256_mul_pd(lo, v3));
+            b3 = _mm256_add_pd(b3, _mm256_mul_pd(hi, v3));
+        }
+        _mm256_storeu_pd(py[0] + c0, a0);
+        _mm256_storeu_pd(py[0] + c0 + 4, b0);
+        _mm256_storeu_pd(py[1] + c0, a1);
+        _mm256_storeu_pd(py[1] + c0 + 4, b1);
+        _mm256_storeu_pd(py[2] + c0, a2);
+        _mm256_storeu_pd(py[2] + c0 + 4, b2);
+        _mm256_storeu_pd(py[3] + c0, a3);
+        _mm256_storeu_pd(py[3] + c0 + 4, b3);
+    }
+    if (c0 < cols)
+        matTVecColumnBlock<4, 8>(pm, rows, cols, c0, cols - c0, px, pg, py);
+}
+#endif
+
+} // namespace
+
+Index
+matTVecSparseMultiInto(const Matrix &m, const Vector *xs, Index count,
+                       const Vector &rowGate, Vector *ys)
+{
     HIMA_ASSERT(rowGate.size() == m.rows(),
-                "matTVecSparseInto: gate %zu != rows %zu", rowGate.size(),
-                m.rows());
+                "matTVecSparseMultiInto: gate %zu != rows %zu",
+                rowGate.size(), m.rows());
     const Index rows = m.rows();
     const Index cols = m.cols();
-    y.resize(cols);
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    const Real *pg = rowGate.data();
-    Real *py = y.data();
-    for (Index c = 0; c < cols; ++c)
-        py[c] = 0.0;
-    Index skipped = 0;
-    for (Index r = 0; r < rows; ++r) {
-        if (pg[r] <= 0.0) {
-            ++skipped;
-            continue;
-        }
-        const Real xv = px[r];
-        const Real *row = pm + r * cols;
-        for (Index c = 0; c < cols; ++c)
-            py[c] += row[c] * xv;
+    for (Index h = 0; h < count; ++h) {
+        HIMA_ASSERT(xs[h].size() == rows,
+                    "matTVecSparseMultiInto: rows %zu != x[%zu] %zu", rows,
+                    h, xs[h].size());
+        ys[h].resize(cols);
     }
+    const Real *pm = m.data();
+    const Real *pg = rowGate.data();
+    // Each output's chain is its own, so the grouping changes no bit.
+    forEachPow2Group(count, [&](auto group, Index g) {
+        matTVecMulti<decltype(group)::value>(pm, rows, cols, xs + g, pg,
+                                             ys + g);
+    });
+    Index skipped = 0;
+    for (Index r = 0; r < rows; ++r)
+        skipped += pg[r] <= 0.0 ? 1 : 0;
     return skipped;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -218,15 +219,45 @@ void matVecAccumulate(const Matrix &m, const Vector &x, Vector &y);
 /** y = M^T x; y must not alias x. */
 void matTVecInto(const Matrix &m, const Vector &x, Vector &y);
 /**
- * y = M^T x, skipping rows whose `rowGate` entry is at or below 0;
- * returns the number of rows skipped. With `rowGate` the cached L2 row
- * norms this is bit-identical to matTVecInto for nonnegative x: a
- * gated-out row is all-zero, every one of its accumulator terms is
- * +0.0, and adding +0.0 never changes an accumulator's bits. Visited
- * rows accumulate in matTVecInto's order.
+ * Calls fn(std::integral_constant<Index, G>{}, first) for consecutive
+ * groups [first, first + G) covering [0, count): groups of 8 while
+ * they fit, then at most one each of 4, 2 and 1. Lets a kernel
+ * specialized for a compile-time vector count serve any count.
  */
-Index matTVecSparseInto(const Matrix &m, const Vector &x,
-                        const Vector &rowGate, Vector &y);
+template <typename Fn>
+inline void
+forEachPow2Group(Index count, Fn &&fn)
+{
+    Index g = 0;
+    for (; g + 8 <= count; g += 8)
+        fn(std::integral_constant<Index, 8>{}, g);
+    if (g + 4 <= count) {
+        fn(std::integral_constant<Index, 4>{}, g);
+        g += 4;
+    }
+    if (g + 2 <= count) {
+        fn(std::integral_constant<Index, 2>{}, g);
+        g += 2;
+    }
+    if (g < count)
+        fn(std::integral_constant<Index, 1>{}, g);
+}
+
+/**
+ * ys[h] = M^T xs[h] for every h < count, one pass over M per
+ * forEachPow2Group group (so one pass for 1, 2, 4 or 8 vectors),
+ * skipping rows whose `rowGate` entry is at or below 0; returns the
+ * number of rows skipped (per pass, not per vector). Every output word keeps
+ * matTVecInto's chain: rows ascending from +0.0, multiply and add
+ * rounded separately. With `rowGate` the cached L2 row norms and every
+ * x nonnegative this is bit-identical to `count` matTVecInto calls: a
+ * gated-out row is all-zero, each of its terms is +0.0, and adding +0.0
+ * never changes an accumulator's bits. The columns are walked in
+ * register blocks, one chain per (vector, column), so each block of M
+ * is read once for all vectors of a group. ys[h] must not alias xs[h'].
+ */
+Index matTVecSparseMultiInto(const Matrix &m, const Vector *xs, Index count,
+                             const Vector &rowGate, Vector *ys);
 /** m += s * a b^T; m must already have shape rows(a) x rows(b). */
 void outerAccumulate(const Vector &a, const Vector &b, Real s, Matrix &m);
 /** out = A B; out must not alias A or B. */
@@ -368,8 +399,10 @@ Real rowNorm(const Matrix &m, Index r);
 /**
  * Preallocated scratch vectors for the allocation-free memory-unit hot
  * path. One Workspace per MemoryUnit, sized once from the DncConfig
- * shapes (memoryRows x memoryWidth); every buffer is overwritten each
- * timestep, so none carries state.
+ * shapes (memoryRows x memoryWidth, R read heads). Every buffer is
+ * overwritten each timestep; only the read lookup's dots and key norms
+ * are read again after the step (the DNC-D confidence), until the next
+ * step overwrites them.
  */
 struct Workspace
 {
@@ -393,7 +426,9 @@ struct Workspace
             forwardW[h].resize(rows);
             backwardW[h].resize(rows);
         }
-        widthScratch.resize(width);
+        keys.resize(width * heads);
+        dots.resize(rows * heads);
+        keyNorms.resize(heads);
     }
 
     Vector scores;       ///< similarity scores (length N)
@@ -402,7 +437,9 @@ struct Workspace
     Vector allocW;       ///< allocation weighting (length N)
     std::vector<Vector> forwardW;  ///< per-head forward weightings (R x N)
     std::vector<Vector> backwardW; ///< per-head backward weightings (R x N)
-    Vector widthScratch; ///< word-width scratch (length W)
+    Vector keys;     ///< head-interleaved read keys (W x R)
+    Vector dots;     ///< head-interleaved raw row-key dots (N x R)
+    Vector keyNorms; ///< read key L2 norms (length R)
 };
 
 // ---------------------------------------------------------------------

@@ -22,22 +22,10 @@ Real
 tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
 {
     const Matrix &mem = tile.memory();
-    const Vector &norms = tile.rowNorms();
-    const Real keyNorm = key.norm();
-    constexpr Real eps = 1e-6;
-    // A row whose cached norm is 0 is an all-zero row: its cosine is
-    // exactly +0.0/eps == +0.0, so folding a literal 0.0 into the max
-    // without the O(W) dot leaves the chain bit-identical.
-    Real best = -1.0;
-    for (Index i = 0; i < mem.rows(); ++i) {
-        if (norms[i] <= 0.0) {
-            best = std::max(best, 0.0);
-            continue;
-        }
-        const Real cos = dotRow(mem, i, key) / (norms[i] * keyNorm + eps);
-        best = std::max(best, cos);
-    }
-    return strength * best;
+    return strength * bestCosine(tile.rowNorms().data(), mem.rows(),
+                                 key.norm(), [&](Index i) {
+                                     return dotRow(mem, i, key);
+                                 });
 }
 
 // --------------------------------------------------------------------
@@ -198,19 +186,19 @@ DncD::stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out)
     broadcast_.resize(tiles_);
     for (Index t = 0; t < tiles_; ++t)
         broadcast_[t] = iface;
-    stepCore(broadcast_, out);
+    stepCore(broadcast_, true, out);
 }
 
 MemoryReadout
 DncD::stepInterfaces(const std::vector<InterfaceVector> &ifaces)
 {
     MemoryReadout out;
-    stepCore(ifaces, out);
+    stepCore(ifaces, false, out);
     return out;
 }
 
 void
-DncD::stepCore(const std::vector<InterfaceVector> &ifaces,
+DncD::stepCore(const std::vector<InterfaceVector> &ifaces, bool broadcast,
                MemoryReadout &out)
 {
     HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
@@ -225,14 +213,20 @@ DncD::stepCore(const std::vector<InterfaceVector> &ifaces,
 
     if (!scored.empty()) {
         // Content-confidence gating (Sec. 5.1): every (head, tile) score
-        // is independent, so the scan parallelizes over tiles.
+        // is independent, so the scoring parallelizes over tiles. A
+        // broadcast key is the one each tile just read with, so its
+        // score comes from the tile's kept dots; per-tile interfaces
+        // score tile 0's key, which the other tiles never saw, by a scan.
         scoreScratch_.assign(scored.size() * tiles_, 0.0);
         forEachTile([&](Index t) {
             for (Index k = 0; k < scored.size(); ++k) {
                 const Index head = scored[k];
                 scoreScratch_[k * tiles_ + t] =
-                    tileConfidenceScore(*shards_[t], ifaces[0].readKeys[head],
-                                        ifaces[0].readStrengths[head]);
+                    broadcast
+                        ? shards_[t]->readConfidence(head)
+                        : tileConfidenceScore(*shards_[t],
+                                              ifaces[0].readKeys[head],
+                                              ifaces[0].readStrengths[head]);
             }
         });
         gate_.applyScores(scoreScratch_, tiles_);

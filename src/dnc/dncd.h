@@ -61,6 +61,11 @@ DncConfig shardConfigFor(const DncConfig &global, Index tiles);
  * contributes to the merge softmax — computable entirely tile-locally,
  * which is what makes the confidence merge distributable: a remote
  * worker sends back one Real per head instead of its memory contents.
+ *
+ * This O(N*W) scan is for keys the tile did not read with (per-tile
+ * interfaces score tile 0's key everywhere). For the key of the tile's
+ * own last step, MemoryUnit::readConfidence() gives the same bits in
+ * O(N) from the read lookup's kept dots.
  */
 Real tileConfidenceScore(const MemoryUnit &tile, const Vector &key,
                          Real strength);
@@ -233,8 +238,11 @@ class DncD : public TileMemory
     /** Run fn(0..tiles_-1), on the pool when one is configured. */
     void forEachTile(const std::function<void(Index)> &fn);
 
-    /** Shared step body: tiles, gate, scores, merge into `out`. */
-    void stepCore(const std::vector<InterfaceVector> &ifaces,
+    /**
+     * Shared step body: tiles, gate, scores, merge into `out`.
+     * `broadcast` says every tile stepped with ifaces[0]'s read keys.
+     */
+    void stepCore(const std::vector<InterfaceVector> &ifaces, bool broadcast,
                   MemoryReadout &out);
 
     DncConfig globalConfig_;

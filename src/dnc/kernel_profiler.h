@@ -123,8 +123,13 @@ class KernelProfiler
 class KernelScope
 {
   public:
-    KernelScope(KernelProfiler &profiler, Kernel kernel)
-        : profiler_(profiler), kernel_(kernel),
+    /**
+     * @param invocations logical kernel calls the scope covers (a fused
+     *                    multi-head kernel charges one per head)
+     */
+    KernelScope(KernelProfiler &profiler, Kernel kernel,
+                std::uint64_t invocations = 1)
+        : profiler_(profiler), kernel_(kernel), invocations_(invocations),
           start_(std::chrono::steady_clock::now())
     {}
 
@@ -132,7 +137,7 @@ class KernelScope
     {
         const auto elapsed = std::chrono::steady_clock::now() - start_;
         auto &c = profiler_.at(kernel_);
-        ++c.invocations;
+        c.invocations += invocations_;
         c.nanoseconds += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                 .count());
@@ -144,6 +149,7 @@ class KernelScope
   private:
     KernelProfiler &profiler_;
     Kernel kernel_;
+    std::uint64_t invocations_;
     std::chrono::steady_clock::time_point start_;
 };
 

@@ -21,7 +21,8 @@ MemoryUnit::MemoryUnit(const DncConfig &config)
       linkage_(config.memoryRows),
       writeWeighting_(config.memoryRows),
       readWeightings_(config.readHeads, Vector(config.memoryRows)),
-      ws_(config.memoryRows, config.memoryWidth, config.readHeads)
+      ws_(config.memoryRows, config.memoryWidth, config.readHeads),
+      keptStrengths_(config.readHeads)
 {
     config_.validate();
     sortRecords_.reserve(config.memoryRows);
@@ -173,62 +174,86 @@ MemoryUnit::softRead(const InterfaceVector &iface, MemoryReadout &out)
     const Index n = config_.memoryRows;
     const Index w = config_.memoryWidth;
     const Index r = config_.readHeads;
+    const std::uint64_t heads = r;
 
-    for (Index head = 0; head < r; ++head) {
-        // CR.(1)-(2): content-based read weighting. (HR.(3) forward/
-        // backward were precomputed by the fused linkage sweep.)
-        addressing_.weightingInto(memory_, iface.readKeys[head],
-                                  iface.readStrengths[head], &rowNorms_,
-                                  ws_.scores, ws_.contentW, &profiler_);
+    // CR.(1)-(2): all R content read weightings in one scoring pass over
+    // the post-write memory. Each head's content weighting lands in its
+    // readout weighting, which the merge below then overwrites in place.
+    // (HR.(3) forward/backward were precomputed by the fused linkage
+    // sweep.) The raw dots stay in ws_ for readConfidence().
+    addressing_.weightingsInto(memory_, iface.readKeys.data(),
+                               iface.readStrengths.data(), r, rowNorms_, ws_,
+                               out.readWeightings.data(), &profiler_);
+    std::copy(iface.readStrengths.begin(), iface.readStrengths.end(),
+              keptStrengths_.begin());
+    keptDots_ = true;
 
-        // RM: mode-weighted merge onto the simplex.
-        Vector &weighting = out.readWeightings[head];
-        {
-            KernelScope scope(profiler_, Kernel::ReadMerge);
+    // RM: mode-weighted merge onto the simplex.
+    {
+        KernelScope scope(profiler_, Kernel::ReadMerge, heads);
+        for (Index head = 0; head < r; ++head) {
             const ReadMode &mode = iface.readModes[head];
             const Real *fwd = ws_.forwardW[head].data();
             const Real *bwd = ws_.backwardW[head].data();
-            const Real *content = ws_.contentW.data();
-            Real *pw = weighting.data();
+            Real *pw = out.readWeightings[head].data();
             for (Index i = 0; i < n; ++i) {
                 pw[i] = mode.backward * bwd[i]
-                      + mode.content * content[i]
+                      + mode.content * pw[i]
                       + mode.forward * fwd[i];
             }
-            auto &c = profiler_.at(Kernel::ReadMerge);
-            c.elementOps += 3 * n;
-            c.stateMemAccesses += 4 * n;
         }
-        if (config_.fixedPoint)
-            quantizeInPlace(weighting);
+        auto &c = profiler_.at(Kernel::ReadMerge);
+        c.elementOps += heads * 3 * n;
+        c.stateMemAccesses += heads * 4 * n;
+    }
+    if (config_.fixedPoint)
+        for (Index head = 0; head < r; ++head)
+            quantizeInPlace(out.readWeightings[head]);
 
-        // MR: v_r = M^T w_r. Rows whose cached norm is 0 are all-zero
-        // rows: their contribution to every output word is +0.0
-        // exactly, so skipping them is bit-identical (the weighting is
-        // nonnegative). The hardware still reads all N rows — only
-        // simulator work is skipped.
-        {
-            KernelScope scope(profiler_, Kernel::MemoryRead);
-            const Index skipped = matTVecSparseInto(
-                memory_, weighting, rowNorms_, out.readVectors[head]);
-            auto &c = profiler_.at(Kernel::MemoryRead);
-            c.macOps += static_cast<std::uint64_t>(n) * w;
-            c.extMemAccesses += static_cast<std::uint64_t>(n) * w;
-            c.stateMemAccesses += n;
-            c.skippedRows += skipped;
-            c.skippedOps += static_cast<std::uint64_t>(skipped) * w;
-        }
+    // MR: v_r = M^T w_r for all R heads in one pass over M. Rows whose
+    // cached norm is 0 are all-zero rows: their contribution to every
+    // output word is +0.0 exactly, so skipping them is bit-identical
+    // (the weightings are nonnegative). The hardware still reads all N
+    // rows per head — only simulator work is skipped.
+    {
+        KernelScope scope(profiler_, Kernel::MemoryRead, heads);
+        const std::uint64_t skipped = matTVecSparseMultiInto(
+            memory_, out.readWeightings.data(), r, rowNorms_,
+            out.readVectors.data());
+        auto &c = profiler_.at(Kernel::MemoryRead);
+        c.macOps += heads * n * w;
+        c.extMemAccesses += heads * n * w;
+        c.stateMemAccesses += heads * n;
+        c.skippedRows += heads * skipped;
+        c.skippedOps += heads * skipped * w;
+    }
+    for (Index head = 0; head < r; ++head) {
         if (config_.fixedPoint)
             quantizeInPlace(out.readVectors[head]);
-
-        std::copy(weighting.begin(), weighting.end(),
+        std::copy(out.readWeightings[head].begin(),
+                  out.readWeightings[head].end(),
                   readWeightings_[head].begin());
     }
+}
+
+Real
+MemoryUnit::readConfidence(Index head) const
+{
+    const Index r = config_.readHeads;
+    HIMA_ASSERT(keptDots_ && head < r,
+                "readConfidence(%zu) needs a read lookup since the last "
+                "reset or restore", head);
+    const Real *dots = ws_.dots.data() + head;
+    return keptStrengths_[head] *
+           bestCosine(rowNorms_.data(), config_.memoryRows,
+                      ws_.keyNorms[head],
+                      [&](Index i) { return dots[i * r]; });
 }
 
 void
 MemoryUnit::reset()
 {
+    keptDots_ = false;
     memory_.fill(0.0);
     rowNorms_.fill(0.0);
     usage_.fill(0.0);
@@ -288,6 +313,7 @@ MemoryUnit::restoreState(const MemoryTileState &state)
     for (const Vector &rw : state.readWeightings)
         HIMA_ASSERT(rw.size() == n, "tile restore: read weighting %zu != %zu",
                     rw.size(), n);
+    keptDots_ = false;
     // Fused restore of the read stage: copy each memory row and rebuild
     // its cached norm in the same pass, instead of one sweep for the
     // matrix and a second for the snapshot's norm vector. The recompute

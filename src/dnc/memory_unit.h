@@ -19,6 +19,13 @@
  * the per-row L2 norms needed by content addressing are maintained
  * incrementally by the memory write instead of being recomputed for
  * every head every timestep.
+ *
+ * The soft read handles its R heads together: one content-scoring pass
+ * over M for all R read keys (ContentAddressing::weightingsInto), the
+ * per-head merge, then one pass over M for all R read vectors
+ * (matTVecSparseMultiInto). Every head's bits are those of R separate
+ * lookups and reads. The lookup's raw dots are kept, so the DNC-D
+ * confidence of a broadcast key costs O(N) (readConfidence()).
  */
 
 #ifndef HIMA_DNC_MEMORY_UNIT_H
@@ -125,6 +132,15 @@ class MemoryUnit
      */
     const Vector &rowNorms() const { return rowNorms_; }
 
+    /**
+     * DNC-D confidence of the last step's read key `head` against this
+     * tile: tileConfidenceScore(*this, key, strength) for that step's
+     * key and strength, bit for bit, but O(N) — bestCosine over the dots
+     * the read lookup kept instead of an O(N*W) rescan. Valid from a
+     * step until the next reset() or restoreState().
+     */
+    Real readConfidence(Index head) const;
+
     KernelProfiler &profiler() { return profiler_; }
     const KernelProfiler &profiler() const { return profiler_; }
 
@@ -160,6 +176,8 @@ class MemoryUnit
     std::vector<Vector> readWeightings_; ///< previous read weightings, R x N
 
     Workspace ws_;                      ///< hot-path scratch buffers
+    std::vector<Real> keptStrengths_;   ///< read strengths of the kept dots
+    bool keptDots_ = false;             ///< ws_ holds this memory's dots
     std::vector<SortRecord> sortRecords_; ///< usage-sort scratch
 
     KernelProfiler profiler_;

@@ -261,8 +261,11 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
     // All named lanes' hosted tiles in one dispatch: frame slot
     // j * hostedTiles + i maps to tile i of lane lanes[j]. Lanes are
     // independent tile sets, so any pool schedule is bit-identical to
-    // sequential execution. Keys broadcast, so global tile 0's
-    // interface carries the scoring keys (same convention as DncD).
+    // sequential execution. Global tile 0's interface carries the
+    // scoring keys (same convention as DncD): a broadcast entry's tiles
+    // read with exactly that key, so their kept dots give the score in
+    // O(N); a per-tile entry's tiles read with their own keys, so tile
+    // 0's key is scored by a scan.
     const Index frameLanes = laneStep_.lanes.size();
     const Index slots = frameLanes * hostedTiles_; // <= readouts_.size()
     if (!laneStepTask_) {
@@ -274,13 +277,16 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
             tile.stepInto(laneStep_.tileIface(j, firstGlobalTile_ + i),
                           readouts_[slot]);
             const InterfaceVector &scoring = laneStep_.tileIface(j, 0);
+            const bool perTile = laneStep_.perTile[j] != 0;
             const Index heads = shardConfig_.readHeads;
             for (Index h = 0; h < heads; ++h) {
-                confidence_[slot * heads + h] =
-                    (laneStep_.masks[j] >> h & 1u)
-                        ? tileConfidenceScore(tile, scoring.readKeys[h],
-                                              scoring.readStrengths[h])
-                        : 0.0;
+                Real score = 0.0;
+                if (laneStep_.masks[j] >> h & 1u)
+                    score = perTile ? tileConfidenceScore(
+                                          tile, scoring.readKeys[h],
+                                          scoring.readStrengths[h])
+                                    : tile.readConfidence(h);
+                confidence_[slot * heads + h] = score;
             }
         };
     }

@@ -15,9 +15,12 @@
 #define HIMA_TESTS_DENSE_ORACLE_H
 
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "approx/fixed_point.h"
+#include "approx/softmax_approx.h"
 #include "common/math_util.h"
 #include "dnc/memory_unit.h"
 
@@ -49,8 +52,14 @@ matTVec(const Matrix &m, const Vector &x)
     return y;
 }
 
+/**
+ * C(M, k, beta) over every row, norms recomputed per lookup. `approx`,
+ * when given, replaces the exact softmax with the PLA+LUT unit (the
+ * only part of the lookup the approximate mode changes).
+ */
 inline Vector
-contentWeighting(const Matrix &memory, const Vector &key, Real strength)
+contentWeighting(const Matrix &memory, const Vector &key, Real strength,
+                 const SoftmaxApprox *approx = nullptr)
 {
     const Index n = memory.rows();
     const Index w = memory.cols();
@@ -72,7 +81,7 @@ contentWeighting(const Matrix &memory, const Vector &key, Real strength)
             acc += memory(i, c) * key[c];
         scores[i] = strength * acc / (rowNorms[i] * keyNorm + eps);
     }
-    return softmax(scores);
+    return approx ? approx->eval(scores) : softmax(scores);
 }
 
 /**
@@ -111,6 +120,11 @@ updatePrecedence(Vector &precedence, const Vector &ww)
  * allocate every temporary, and per-lookup O(N*W) row-norm recomputes.
  * No state outlives a step except the recurrent state below, so an
  * episode boundary is a fresh object.
+ *
+ * The config's approximateSoftmax (PLA+LUT softmax in every content
+ * lookup) and fixedPoint (Q16.16 rounding of each written memory word,
+ * of the write weighting after the write, of each read weighting and
+ * read vector) are modeled; skimRate is not (it must be 0).
  */
 struct MemoryUnitSim
 {
@@ -119,7 +133,10 @@ struct MemoryUnitSim
           usage(cfg.memoryRows), linkage(cfg.memoryRows, cfg.memoryRows),
           precedence(cfg.memoryRows), writeWeighting(cfg.memoryRows),
           readWeightings(cfg.readHeads, Vector(cfg.memoryRows))
-    {}
+    {
+        if (cfg.approximateSoftmax)
+            approx = std::make_shared<SoftmaxApprox>(cfg.softmaxSegments);
+    }
 
     MemoryReadout
     step(const InterfaceVector &iface)
@@ -128,8 +145,8 @@ struct MemoryUnitSim
         const Index w = cfg.memoryWidth;
 
         // CW: content write weighting (norms recomputed from scratch).
-        const Vector contentW =
-            contentWeighting(memory, iface.writeKey, iface.writeStrength);
+        const Vector contentW = contentWeighting(
+            memory, iface.writeKey, iface.writeStrength, approx.get());
 
         // HW: retention, usage, sort, allocation.
         Vector psi(n, 1.0);
@@ -171,10 +188,15 @@ struct MemoryUnitSim
             const Real wi = ww[i];
             if (wi == 0.0)
                 continue;
-            for (Index c = 0; c < w; ++c)
-                memory(i, c) = memory(i, c) * (1.0 - wi * iface.eraseVector[c])
+            for (Index c = 0; c < w; ++c) {
+                const Real v = memory(i, c) * (1.0 - wi * iface.eraseVector[c])
                              + wi * iface.writeVector[c];
+                memory(i, c) = cfg.fixedPoint ? Fix32::fromReal(v).toReal()
+                                              : v;
+            }
         }
+        if (cfg.fixedPoint)
+            ww = quantize(ww);
 
         // HR.(1)-(2): linkage then precedence.
         updateLinkage(linkage, ww, precedence);
@@ -186,8 +208,9 @@ struct MemoryUnitSim
         for (Index head = 0; head < cfg.readHeads; ++head) {
             const Vector fwd = oracle::matVec(linkage, readWeightings[head]);
             const Vector bwd = oracle::matTVec(linkage, readWeightings[head]);
-            const Vector content = contentWeighting(
-                memory, iface.readKeys[head], iface.readStrengths[head]);
+            const Vector content =
+                contentWeighting(memory, iface.readKeys[head],
+                                 iface.readStrengths[head], approx.get());
             Vector weighting(n);
             const ReadMode &mode = iface.readModes[head];
             for (Index i = 0; i < n; ++i) {
@@ -195,7 +218,11 @@ struct MemoryUnitSim
                              + mode.content * content[i]
                              + mode.forward * fwd[i];
             }
+            if (cfg.fixedPoint)
+                weighting = quantize(weighting);
             Vector readVector = oracle::matTVec(memory, weighting);
+            if (cfg.fixedPoint)
+                readVector = quantize(readVector);
             readWeightings[head] = weighting;
             out.readWeightings.push_back(std::move(weighting));
             out.readVectors.push_back(std::move(readVector));
@@ -204,6 +231,7 @@ struct MemoryUnitSim
     }
 
     DncConfig cfg;
+    std::shared_ptr<const SoftmaxApprox> approx; ///< set when approximate
     Matrix memory;
     Vector usage;
     Matrix linkage;

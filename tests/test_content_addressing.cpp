@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "dnc/content_addressing.h"
+#include "dnc/kernel_profiler.h"
 
 namespace hima {
 namespace {
@@ -93,6 +94,73 @@ TEST(ContentAddressing, ProfilerChargesKernels)
     const auto &sim = prof.at(Kernel::Similarity);
     EXPECT_EQ(sim.macOps, 16u * 8);
     EXPECT_GT(sim.specialOps, 0u);
+}
+
+/**
+ * The R-key lookup is R one-key lookups fused: every head's weighting,
+ * its kept raw dots and key norm, and the profiler charges must equal
+ * those of a separate weightingInto() per key, at every compile-time
+ * head count, counts split into several groups (3, 5, 11), a column
+ * tail and zero-norm rows.
+ */
+TEST(ContentAddressing, MultiKeyLookupEqualsOneLookupPerKey)
+{
+    Rng rng(9);
+    for (bool approximate : {false, true}) {
+        const ContentAddressing ca(approximate);
+        for (Index heads : {1u, 2u, 3u, 4u, 5u, 8u, 11u}) {
+            for (Index w : {16u, 20u}) {
+                const Index n = 23;
+                Matrix mem = rng.normalMatrix(n, w);
+                for (Index i = 0; i < n; i += 7)
+                    for (Index c = 0; c < w; ++c)
+                        mem(i, c) = 0.0;
+                Vector norms(n);
+                for (Index i = 0; i < n; ++i)
+                    norms[i] = rowNorm(mem, i);
+                std::vector<Vector> keys;
+                std::vector<Real> strengths;
+                for (Index h = 0; h < heads; ++h) {
+                    keys.push_back(rng.normalVector(w));
+                    strengths.push_back(1.0 + rng.uniform(0.0, 9.0));
+                }
+                Workspace ws(n, w, heads);
+                std::vector<Vector> fused(heads);
+                KernelProfiler fusedProf;
+                ca.weightingsInto(mem, keys.data(), strengths.data(), heads,
+                                  norms, ws, fused.data(), &fusedProf);
+
+                KernelProfiler oneProf;
+                for (Index h = 0; h < heads; ++h) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "approx " << approximate << " R "
+                                 << heads << " W " << w << " head " << h);
+                    Vector scores, one;
+                    ca.weightingInto(mem, keys[h], strengths[h], &norms,
+                                     scores, one, &oneProf);
+                    EXPECT_TRUE(fused[h] == one);
+                    EXPECT_EQ(ws.keyNorms[h], keys[h].norm());
+                    for (Index i = 0; i < n; ++i) {
+                        const Real dot =
+                            norms[i] > 0.0 ? dotRow(mem, i, keys[h]) : 0.0;
+                        EXPECT_EQ(ws.dots[i * heads + h], dot) << "row " << i;
+                    }
+                }
+                for (Kernel k : {Kernel::Normalize, Kernel::Similarity}) {
+                    const KernelCounters &a = fusedProf.at(k);
+                    const KernelCounters &b = oneProf.at(k);
+                    EXPECT_EQ(a.invocations, b.invocations);
+                    EXPECT_EQ(a.macOps, b.macOps);
+                    EXPECT_EQ(a.elementOps, b.elementOps);
+                    EXPECT_EQ(a.specialOps, b.specialOps);
+                    EXPECT_EQ(a.extMemAccesses, b.extMemAccesses);
+                    EXPECT_EQ(a.stateMemAccesses, b.stateMemAccesses);
+                    EXPECT_EQ(a.skippedRows, b.skippedRows);
+                    EXPECT_EQ(a.skippedOps, b.skippedOps);
+                }
+            }
+        }
+    }
 }
 
 TEST(ContentAddressing, ApproximateMatchesExactClosely)

@@ -6,10 +6,13 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "dnc/dncd.h"
 #include "golden_util.h"
 #include "workload/retrieval.h"
@@ -251,6 +254,150 @@ TEST(DncD, ConfidenceZeroNormSkipMatchesFullScan)
                   fullScanConfidence(tile.memory(), key, strength))
             << "key " << k;
     }
+}
+
+bool
+sameBits(Real a, Real b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Every head's kept-dot confidence against the scan, bit for bit. */
+void
+expectKeptConfidenceIsScan(const MemoryUnit &tile, const InterfaceVector &f)
+{
+    for (Index h = 0; h < f.readKeys.size(); ++h) {
+        const Real scan =
+            tileConfidenceScore(tile, f.readKeys[h], f.readStrengths[h]);
+        EXPECT_TRUE(sameBits(tile.readConfidence(h), scan))
+            << "head " << h << ": kept " << tile.readConfidence(h)
+            << " vs scan " << scan;
+    }
+}
+
+/**
+ * The O(N) confidence from the read lookup's kept dots equals the
+ * O(N*W) tileConfidenceScore scan bit for bit at every step: an
+ * episode's first steps over all-zero rows (write gate closed), one-hot
+ * allocation traffic with zero rows still live, soft traffic, after a
+ * reset, and on the first step after restoreState() into a fresh unit.
+ * R = 4 runs the AVX2 scoring body, R = 3 two key groups (2 + 1).
+ */
+TEST(DncD, KeptDotConfidenceEqualsScanEveryStep)
+{
+    for (Index heads : {3u, 4u}) {
+        DncConfig cfg = testConfig();
+        cfg.memoryRows = 32;
+        cfg.memoryWidth = 20;
+        cfg.readHeads = heads;
+        MemoryUnit tile(cfg);
+        MemoryUnit restored(cfg);
+        MemoryTileState snapshot;
+        MemoryReadout out;
+        MemoryReadout restoredOut;
+        Rng rng(40 + heads);
+        for (int step = 0; step < 48; ++step) {
+            SCOPED_TRACE(::testing::Message()
+                         << "R " << heads << " step " << step);
+            if (step == 24)
+                tile.reset();
+            InterfaceVector iface = golden::randomIface(cfg, rng);
+            const int phase = step % 24;
+            if (phase == 0) {
+                iface.writeGate = 0.0; // every row stays zero
+            } else if (phase < 10) {
+                iface.allocationGate = 1.0;
+                iface.writeGate = 1.0;
+            }
+            if (step == 35) {
+                tile.captureState(snapshot);
+                restored.restoreState(snapshot);
+            }
+            tile.stepInto(iface, out);
+            if (phase == 0) {
+                ASSERT_EQ(tile.rowNorms().sum(), 0.0);
+            }
+            expectKeptConfidenceIsScan(tile, iface);
+            if (step >= 35) {
+                restored.stepInto(iface, restoredOut);
+                expectKeptConfidenceIsScan(restored, iface);
+                for (Index h = 0; h < heads; ++h)
+                    EXPECT_TRUE(sameBits(restored.readConfidence(h),
+                                         tile.readConfidence(h)));
+            }
+        }
+    }
+}
+
+/** The gate's alphas for `scoring`'s keys, every tile scanned. */
+std::vector<std::vector<Real>>
+scannedAlphas(const DncD &model, const InterfaceVector &scoring)
+{
+    std::vector<std::vector<Real>> alphas;
+    for (Index h = 0; h < scoring.readKeys.size(); ++h) {
+        Vector logits(model.tiles());
+        for (Index t = 0; t < model.tiles(); ++t)
+            logits[t] = tileConfidenceScore(model.shard(t),
+                                            scoring.readKeys[h],
+                                            scoring.readStrengths[h]);
+        const Vector sm = softmax(logits);
+        alphas.emplace_back(sm.begin(), sm.end());
+    }
+    return alphas;
+}
+
+/**
+ * Broadcast steps take the confidence from the tiles' kept dots, and
+ * the alphas equal a full scan's. Per-tile steps read each tile with
+ * its own keys, so DNC-D's scoring key (tile 0's) must still be scanned
+ * on every tile: the alphas equal the scan's, and the kept dots (of
+ * the tiles' own keys) would have given different logits.
+ */
+TEST(DncD, PerTileInterfacesStillScanTileZeroKeys)
+{
+    const DncConfig cfg = testConfig();
+    const Index tiles = 4;
+    DncD model(cfg, tiles);
+    Rng rng(77);
+    const auto contentRead = [&](InterfaceVector iface) {
+        for (ReadMode &mode : iface.readModes)
+            mode = ReadMode{0.0, 1.0, 0.0};
+        return iface;
+    };
+    bool keptWouldDiffer = false;
+    for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        InterfaceVector iface = contentRead(golden::randomIface(cfg, rng));
+        if (step < 6) {
+            iface.allocationGate = 1.0;
+            iface.writeGate = 1.0;
+        }
+        if (step % 2 == 0) {
+            model.stepInterface(iface);
+            EXPECT_EQ(model.lastAlphas(), scannedAlphas(model, iface));
+            continue;
+        }
+        std::vector<InterfaceVector> perTile;
+        for (Index t = 0; t < tiles; ++t) {
+            perTile.push_back(t == 0 ? iface
+                                     : contentRead(golden::randomIface(cfg,
+                                                                       rng)));
+            perTile.back().writeGate = t == static_cast<Index>(step) % tiles
+                                           ? 1.0
+                                           : 0.0;
+        }
+        model.stepInterfaces(perTile);
+        EXPECT_EQ(model.lastAlphas(), scannedAlphas(model, perTile[0]));
+        for (Index t = 1; t < tiles; ++t)
+            for (Index h = 0; h < cfg.readHeads; ++h)
+                keptWouldDiffer |=
+                    model.shard(t).readConfidence(h) !=
+                    tileConfidenceScore(model.shard(t),
+                                        perTile[0].readKeys[h],
+                                        perTile[0].readStrengths[h]);
+    }
+    EXPECT_TRUE(keptWouldDiffer)
+        << "per-tile keys never separated kept dots from the scan";
 }
 
 } // namespace

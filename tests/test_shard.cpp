@@ -1224,6 +1224,75 @@ struct CollectSink final : FrameSink
     }
 };
 
+/**
+ * A worker scores a broadcast LaneStep entry from its tiles' kept read
+ * dots and a per-tile entry by scanning global tile 0's keys. The
+ * coordinator only sends per-tile entries whose read keys match tile
+ * 0's, so this drives the worker with raw frames whose per-tile keys
+ * differ: every reply logit must equal the in-process DncD tile's scan
+ * of tile 0's key, and the worker's kept dots must give a different
+ * logit at least once (so the check can tell the two apart). R = 4 and
+ * W = 20 run the AVX2 scoring body with a column tail.
+ */
+TEST(ShardWorkerProtocol, PerTileLaneStepScansTileZeroKeys)
+{
+    const Index tiles = 4;
+    DncConfig cfg = gridConfig(tiles, 1, false);
+    cfg.memoryWidth = 20;
+    cfg.readHeads = 4;
+    const DncConfig shard = shardConfigFor(cfg, tiles);
+    const Index heads = cfg.readHeads;
+    DncD ref(cfg, tiles);
+    ShardWorker worker;
+    CollectSink sink;
+    WireWriter w;
+    encodeHello(WireConfig::fromShard(shard, tiles), w);
+    ASSERT_TRUE(worker.handleFrame(w.buffer().data(), w.buffer().size(),
+                                   sink));
+
+    Rng rng(606);
+    LaneStepReplyMsg reply;
+    bool keptWouldDiffer = false;
+    for (std::uint64_t seq = 1; seq <= 12; ++seq) {
+        SCOPED_TRACE(::testing::Message() << "seq " << seq);
+        std::vector<InterfaceVector> ifaces;
+        for (Index t = 0; t < tiles; ++t) {
+            ifaces.push_back(golden::randomIface(cfg, rng));
+            ifaces.back().writeGate = t == seq % tiles ? 1.0 : 0.0;
+        }
+        const bool perTile = seq % 2 == 0;
+        if (perTile)
+            ref.stepInterfaces(ifaces);
+        else
+            ref.stepInterface(ifaces[0]);
+        const LaneStepEntry entry[] = {
+            {0, (1u << heads) - 1, ifaces.data(), perTile ? tiles : 0}};
+        encodeLaneStep(seq, false, entry, 1, w);
+        sink.frames.clear();
+        ASSERT_TRUE(
+            worker.handleFrame(w.buffer().data(), w.buffer().size(), sink));
+        ASSERT_EQ(sink.frames.size(), 1u);
+        ASSERT_TRUE(decodeLaneStepReply(sink.frames[0].data(),
+                                        sink.frames[0].size(), shard, tiles,
+                                        1, reply));
+        for (Index t = 0; t < tiles; ++t) {
+            const MemoryUnit &tile = worker.laneTile(0, t);
+            ASSERT_TRUE(tile.memory() == ref.shard(t).memory());
+            for (Index h = 0; h < heads; ++h) {
+                const Real scan =
+                    tileConfidenceScore(ref.shard(t), ifaces[0].readKeys[h],
+                                        ifaces[0].readStrengths[h]);
+                EXPECT_EQ(reply.confidence[t * heads + h], scan)
+                    << "tile " << t << " head " << h;
+                if (perTile)
+                    keptWouldDiffer |= tile.readConfidence(h) != scan;
+            }
+        }
+    }
+    EXPECT_TRUE(keptWouldDiffer)
+        << "per-tile keys never separated kept dots from the scan";
+}
+
 TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
 {
     ShardWorker worker;

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -83,14 +85,29 @@ expectUnitsIdentical(const MemoryUnit &a, const MemoryUnit &b, int step)
  * resets (a fresh oracle per episode). The row-norm cache, which the
  * oracle recomputes per lookup instead of keeping, must equal a fresh
  * ascending recompute of the memory rows.
+ *
+ * The grid covers every head-count body of the fused R-head lookup and
+ * read (1, 2, 4, 8, and 3 as groups of 2 + 1), a width with and
+ * without a column tail (20 and 16), the PLA softmax and fixed-point
+ * rounding. The one-hot early-episode steps keep zero-norm rows live,
+ * so the skip paths of both passes run in every cell.
  */
-TEST(SparseReadStage, ChurnLockstepBitIdenticalToDense)
+class SparseReadChurn
+    : public ::testing::TestWithParam<std::tuple<int, int, bool, bool>>
+{};
+
+TEST_P(SparseReadChurn, LockstepBitIdenticalToDense)
 {
-    const DncConfig cfg = sparseCfg();
+    const auto [heads, width, approximate, fixedPoint] = GetParam();
+    DncConfig cfg = sparseCfg();
+    cfg.readHeads = static_cast<Index>(heads);
+    cfg.memoryWidth = static_cast<Index>(width);
+    cfg.approximateSoftmax = approximate;
+    cfg.fixedPoint = fixedPoint;
     MemoryUnit unit(cfg);
     oracle::MemoryUnitSim ref(cfg);
     MemoryReadout out;
-    Rng rng(0x5eadULL);
+    Rng rng(0x5eadULL + static_cast<std::uint64_t>(heads * 100 + width));
     for (int step = 0; step < 160; ++step) {
         if (step > 0 && step % 40 == 0) {
             unit.reset();
@@ -126,8 +143,22 @@ TEST(SparseReadStage, ChurnLockstepBitIdenticalToDense)
                 acc += ref.memory(i, c) * ref.memory(i, c);
             EXPECT_EQ(unit.rowNorms()[i], std::sqrt(acc)) << "row norm " << i;
         }
+        if (::testing::Test::HasFailure())
+            return;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SparseReadChurn,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
+                       ::testing::Values(16, 20), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return "R" + std::to_string(std::get<0>(info.param)) + "_W" +
+               std::to_string(std::get<1>(info.param)) +
+               (std::get<2>(info.param) ? "_Pla" : "_Exact") +
+               (std::get<3>(info.param) ? "_Fixed" : "_Float");
+    });
 
 /**
  * Predicted skip counts match the profiler. Per step the write content
@@ -159,6 +190,82 @@ TEST(SparseReadStage, SkipCountersMatchZeroNormPrediction)
         EXPECT_EQ(mu.profiler().at(Kernel::MemoryRead).skippedRows - mrBefore,
                   heads * zerosAfter)
             << "step " << step;
+    }
+}
+
+/**
+ * The fused R-head soft read charges the profiler exactly as R
+ * per-head lookups, merges and reads did: per step, the write lookup
+ * plus R read lookups of Normalize and Similarity (Similarity also
+ * charging each lookup's softmax), and R ReadMerge and MemoryRead
+ * invocations with their per-head op and skip counts. Runs a head
+ * count split into two groups (R = 3) and the AVX2 body (R = 4).
+ */
+TEST(SparseReadStage, FusedReadChargesPerHeadCounters)
+{
+    for (Index heads : {3u, 4u}) {
+        DncConfig cfg = sparseCfg(32);
+        cfg.readHeads = heads;
+        MemoryUnit mu(cfg);
+        MemoryReadout out;
+        Rng rng(91);
+        const std::uint64_t n = cfg.memoryRows;
+        const std::uint64_t w = cfg.memoryWidth;
+        const std::uint64_t r = heads;
+        const std::uint64_t lookups = r + 1;
+        for (int step = 0; step < 20; ++step) {
+            SCOPED_TRACE(::testing::Message()
+                         << "R " << heads << " step " << step);
+            const KernelProfiler before = mu.profiler();
+            const std::uint64_t zerosBefore = countZeroNorms(mu);
+            mu.stepInto(step < 8 ? allocationIface(cfg, rng)
+                                 : golden::randomIface(cfg, rng),
+                        out);
+            const std::uint64_t zerosAfter = countZeroNorms(mu);
+            const auto delta = [&](Kernel k) {
+                KernelCounters d = mu.profiler().at(k);
+                const KernelCounters &b = before.at(k);
+                d.invocations -= b.invocations;
+                d.macOps -= b.macOps;
+                d.elementOps -= b.elementOps;
+                d.specialOps -= b.specialOps;
+                d.extMemAccesses -= b.extMemAccesses;
+                d.stateMemAccesses -= b.stateMemAccesses;
+                d.skippedRows -= b.skippedRows;
+                d.skippedOps -= b.skippedOps;
+                return d;
+            };
+            const KernelCounters norm = delta(Kernel::Normalize);
+            EXPECT_EQ(norm.invocations, lookups);
+            EXPECT_EQ(norm.macOps, lookups * (n * w + w));
+            EXPECT_EQ(norm.specialOps, lookups * (n + 1));
+            EXPECT_EQ(norm.extMemAccesses, lookups * n * w);
+            EXPECT_EQ(norm.stateMemAccesses, lookups * w);
+
+            const std::uint64_t simSkips = zerosBefore + r * zerosAfter;
+            const KernelCounters sim = delta(Kernel::Similarity);
+            EXPECT_EQ(sim.invocations, lookups);
+            EXPECT_EQ(sim.macOps, lookups * n * w);
+            EXPECT_EQ(sim.specialOps, lookups * 2 * n);
+            EXPECT_EQ(sim.elementOps, lookups * n);
+            EXPECT_EQ(sim.extMemAccesses, lookups * n * w);
+            EXPECT_EQ(sim.stateMemAccesses, lookups * w);
+            EXPECT_EQ(sim.skippedRows, simSkips);
+            EXPECT_EQ(sim.skippedOps, simSkips * w);
+
+            const KernelCounters merge = delta(Kernel::ReadMerge);
+            EXPECT_EQ(merge.invocations, r);
+            EXPECT_EQ(merge.elementOps, r * 3 * n);
+            EXPECT_EQ(merge.stateMemAccesses, r * 4 * n);
+
+            const KernelCounters read = delta(Kernel::MemoryRead);
+            EXPECT_EQ(read.invocations, r);
+            EXPECT_EQ(read.macOps, r * n * w);
+            EXPECT_EQ(read.extMemAccesses, r * n * w);
+            EXPECT_EQ(read.stateMemAccesses, r * n);
+            EXPECT_EQ(read.skippedRows, r * zerosAfter);
+            EXPECT_EQ(read.skippedOps, r * zerosAfter * w);
+        }
     }
 }
 

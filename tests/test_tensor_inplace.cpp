@@ -10,6 +10,7 @@
  */
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstdint>
 #include <new>
@@ -464,6 +465,48 @@ TEST(MatVecOracle, SingleLaneFormsMatchNaiveLoop)
                     << rows << "x" << cols << " row " << r;
                 ASSERT_EQ(acc[r], y0[r] + want)
                     << rows << "x" << cols << " row " << r;
+            }
+        }
+    }
+}
+
+/**
+ * The fused R-vector memory read against a naive per-vector loop: every
+ * output word one row-ascending chain from +0.0 over the ungated rows,
+ * at every compile-time count (1, 2, 4, 8), counts split into groups,
+ * and widths with and without a column-block tail. Gated rows hold
+ * nonzero garbage here, so a kernel that read them would show.
+ */
+TEST(MatVecOracle, SparseMultiReadMatchesNaiveLoop)
+{
+    Rng rng(1618);
+    for (Index count : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
+        for (Index cols : {1u, 3u, 4u, 7u, 8u, 12u, 20u, 64u}) {
+            const Index rows = 13;
+            const Matrix m = rng.normalMatrix(rows, cols);
+            Vector gate(rows, 1.0);
+            for (Index r = 0; r < rows; r += 3)
+                gate[r] = 0.0;
+            std::vector<Vector> xs(count), ys(count);
+            for (Index h = 0; h < count; ++h) {
+                xs[h] = rng.normalVector(rows);
+                for (Index r = 0; r < rows; ++r)
+                    xs[h][r] = std::fabs(xs[h][r]);
+            }
+            const Index skipped =
+                matTVecSparseMultiInto(m, xs.data(), count, gate, ys.data());
+            EXPECT_EQ(skipped, 5u);
+            for (Index h = 0; h < count; ++h) {
+                ASSERT_EQ(ys[h].size(), cols);
+                for (Index c = 0; c < cols; ++c) {
+                    Real want = 0.0;
+                    for (Index r = 0; r < rows; ++r)
+                        if (gate[r] > 0.0)
+                            want += m(r, c) * xs[h][r];
+                    ASSERT_EQ(ys[h][c], want) << "count " << count << " cols "
+                                              << cols << " vector " << h
+                                              << " column " << c;
+                }
             }
         }
     }
