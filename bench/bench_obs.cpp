@@ -89,7 +89,7 @@ routerRate(Mode mode, double minSeconds, const long *steps = nullptr)
 {
     applyMode(mode);
     const DncConfig cfg = routerConfig();
-    Router router(cfg, 1, greedyAdmission());
+    Router router(cfg, 1);
 
     // A fixed pool of request scripts, resubmitted round-robin.
     ArrivalSpec spec;

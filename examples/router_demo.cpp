@@ -7,9 +7,7 @@
  * the 20-task suite), get bound to lane slots of one BatchedDnc as
  * capacity frees up, and leave when their episode completes. The demo
  * prints a short timeline of queue depth and lane occupancy, then the
- * latency distribution — first under greedy admission, then with a
- * batch-fill policy, to show the latency/density trade the admission
- * knob controls.
+ * latency distribution.
  *
  *   usage: router_demo [lanes] [threads] [rate] [horizon]
  *     lanes    engine slot capacity       (default 8)
@@ -60,75 +58,57 @@ main(int argc, char **argv)
                 "horizon %zu\n\n",
                 cfg.batchSize, cfg.numThreads, spec.rate, horizon);
 
-    struct PolicyRun
-    {
-        const char *name;
-        AdmissionPolicy policy;
-    };
-    PolicyRun runs[] = {
-        {"greedy", greedyAdmission()},
-        {"batch-fill(4, wait<=8)", batchFillAdmission(4, 8)},
-    };
+    Rng traceRng(2026);
+    const auto trace = makeArrivalTrace(spec, horizon, traceRng);
 
-    for (const PolicyRun &run : runs) {
-        Rng traceRng(2026);
-        const auto trace = makeArrivalTrace(spec, horizon, traceRng);
-
-        Router router(cfg, 1, run.policy);
-        std::size_t next = 0;
-        std::printf("--- %s admission ---\n", run.name);
-        while (next < trace.size() || !router.idle()) {
-            while (next < trace.size() &&
-                   trace[next].step <= router.now()) {
-                ServeRequest request;
-                request.id = trace[next].ordinal;
-                request.tokens =
-                    requestTokens(trace[next], cfg.inputSize, 7);
-                router.submit(std::move(request));
-                ++next;
-            }
-            router.step();
-            if (router.now() % printEvery == 0)
-                std::printf("  step %4zu: %2zu active, %2zu queued, "
-                            "%4zu done\n",
-                            router.now(), router.activeRequests(),
-                            router.queuedRequests(),
-                            router.completed().size());
-            if (statsInterval != 0 && router.now() % statsInterval == 0) {
-                obs::Snapshot snap;
-                obs::processSnapshot(snap);
-                const obs::SnapshotEntry *steps =
-                    snap.find("router.steps");
-                const obs::SnapshotEntry *nanos =
-                    snap.find("router.step_nanos");
-                std::printf("  [stats] router.steps=%llu  step p95=%llu "
-                            "ns  series=%zu\n",
-                            static_cast<unsigned long long>(
-                                steps ? steps->counter : 0),
-                            static_cast<unsigned long long>(
-                                nanos ? nanos->hist.percentile(0.95) : 0),
-                            snap.entries.size());
-            }
+    Router router(cfg, 1);
+    std::size_t next = 0;
+    while (next < trace.size() || !router.idle()) {
+        while (next < trace.size() && trace[next].step <= router.now()) {
+            ServeRequest request;
+            request.id = trace[next].ordinal;
+            request.tokens = requestTokens(trace[next], cfg.inputSize, 7);
+            router.submit(std::move(request));
+            ++next;
         }
-
-        std::vector<double> latency, queueing;
-        for (const ServeResult &result : router.completed()) {
-            latency.push_back(static_cast<double>(result.latencySteps()));
-            queueing.push_back(static_cast<double>(result.queueSteps()));
+        router.step();
+        if (router.now() % printEvery == 0)
+            std::printf("  step %4zu: %2zu active, %2zu queued, %4zu done\n",
+                        router.now(), router.activeRequests(),
+                        router.queuedRequests(), router.completed().size());
+        if (statsInterval != 0 && router.now() % statsInterval == 0) {
+            obs::Snapshot snap;
+            obs::processSnapshot(snap);
+            const obs::SnapshotEntry *steps = snap.find("router.steps");
+            const obs::SnapshotEntry *nanos =
+                snap.find("router.step_nanos");
+            std::printf("  [stats] router.steps=%llu  step p95=%llu "
+                        "ns  series=%zu\n",
+                        static_cast<unsigned long long>(
+                            steps ? steps->counter : 0),
+                        static_cast<unsigned long long>(
+                            nanos ? nanos->hist.percentile(0.95) : 0),
+                        snap.entries.size());
         }
-        std::printf("  served %zu requests in %zu steps",
-                    router.completed().size(), router.now());
-        if (router.rejectedRequests())
-            std::printf(" (%zu rejected by queue back-pressure)",
-                        router.rejectedRequests());
-        std::printf("\n");
-        const std::vector<Real> lat =
-            percentiles(std::move(latency), {0.50, 0.95, 0.99});
-        std::printf("  latency steps: p50 %.0f  p95 %.0f  p99 %.0f "
-                    "(queue-wait p95: %.0f)\n\n",
-                    lat[0], lat[1], lat[2],
-                    percentile(std::move(queueing), 0.95));
     }
+
+    std::vector<double> latency, queueing;
+    for (const ServeResult &result : router.completed()) {
+        latency.push_back(static_cast<double>(result.latencySteps()));
+        queueing.push_back(static_cast<double>(result.queueSteps()));
+    }
+    std::printf("  served %zu requests in %zu steps",
+                router.completed().size(), router.now());
+    if (router.rejectedRequests())
+        std::printf(" (%zu rejected by queue back-pressure)",
+                    router.rejectedRequests());
+    std::printf("\n");
+    const std::vector<Real> lat =
+        percentiles(std::move(latency), {0.50, 0.95, 0.99});
+    std::printf("  latency steps: p50 %.0f  p95 %.0f  p99 %.0f "
+                "(queue-wait p95: %.0f)\n\n",
+                lat[0], lat[1], lat[2],
+                percentile(std::move(queueing), 0.95));
 
     if (statsInterval != 0) {
         obs::Snapshot snap;

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -23,6 +24,47 @@ namespace hima {
 
 using Real = double;
 using Index = std::size_t;
+
+/**
+ * Allocator that starts every buffer on a 64-byte cache line. malloc
+ * alone guarantees 16 bytes, so which of a kernel's SIMD loads split a
+ * line would depend on every allocation made before its buffers, and
+ * an unrelated change (a field added to a struct) could move a kernel's
+ * speed. Vector, Matrix and the linkage sweep's scratch use it.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlignment{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlignment));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, kAlignment);
+    }
+
+    template <typename U>
+    bool
+    operator==(const CacheLineAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+/** Cache-line-aligned storage of Real (see CacheLineAllocator). */
+using RealBuffer = std::vector<Real, CacheLineAllocator<Real>>;
 
 /** A dense, owning, fixed-length vector of Real. */
 class Vector
@@ -94,7 +136,7 @@ class Vector
     bool operator==(const Vector &other) const = default;
 
   private:
-    std::vector<Real> data_;
+    RealBuffer data_;
 };
 
 /** A dense, owning, row-major matrix of Real. */
@@ -176,7 +218,7 @@ class Matrix
   private:
     Index rows_ = 0;
     Index cols_ = 0;
-    std::vector<Real> data_;
+    RealBuffer data_;
 };
 
 // ---------------------------------------------------------------------

@@ -23,9 +23,9 @@ inline constexpr Real kCosineEps = 1e-6;
  * The DNC-D tile confidence chain: the best row cosine
  * dotOf(i) / (rowNorms[i] * keyNorm + eps) over i ascending, with a
  * zero-norm row folded in as a literal +0.0 (its dot is never asked
- * for). tileConfidenceScore feeds it fresh dots, MemoryUnit's
- * readConfidence the dots its read lookup kept; both run this one
- * chain, so they agree bit for bit whenever the dots do.
+ * for). MemoryUnit::readConfidence feeds it the dots its read lookup
+ * kept; the tests' scan reference feeds it fresh dots, so the two
+ * agree bit for bit whenever the dots do.
  */
 template <typename DotOf>
 Real

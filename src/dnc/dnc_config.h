@@ -104,14 +104,6 @@ struct DncConfig
     Index routerQueueCapacity = 256;
 
     /**
-     * Cap on concurrently active router lanes. 0 (default) means "use
-     * batchSize" — the router may fill every engine slot; a smaller
-     * value reserves headroom (e.g. for latency isolation experiments).
-     * Must not exceed batchSize.
-     */
-    Index routerMaxActiveLanes = 0;
-
-    /**
      * Runtime metrics toggle (src/obs): counters/gauges/histograms are
      * recorded while true. Off, every metric write is one predictable
      * branch; compiled with HIMA_TELEMETRY=OFF the writes vanish
@@ -127,13 +119,6 @@ struct DncConfig
      * nanosecond-scale phases.
      */
     bool telemetryTracing = false;
-
-    /**
-     * Per-thread trace ring capacity in events; a thread's oldest
-     * events are overwritten once it has emitted this many. Applies to
-     * rings created after obs::applyTelemetryConfig runs. Must be >= 1.
-     */
-    Index telemetryTraceCapacity = 4096;
 
     /** Interface vector width for these shapes (DNC paper layout). */
     Index
@@ -173,12 +158,6 @@ struct DncConfig
                        "zero timeout means \"block forever\" to POSIX)");
         if (routerQueueCapacity == 0)
             HIMA_FATAL("DncConfig: routerQueueCapacity must be >= 1");
-        if (routerMaxActiveLanes > batchSize)
-            HIMA_FATAL("DncConfig: routerMaxActiveLanes %zu exceeds "
-                       "batchSize %zu (0 means \"use batchSize\")",
-                       routerMaxActiveLanes, batchSize);
-        if (telemetryTraceCapacity == 0)
-            HIMA_FATAL("DncConfig: telemetryTraceCapacity must be >= 1");
     }
 };
 

@@ -18,14 +18,14 @@ shardConfigFor(const DncConfig &global, Index tiles)
     return shard;
 }
 
-Real
-tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
+bool
+readQueriesBroadcast(const InterfaceVector *ifaces, Index tiles)
 {
-    const Matrix &mem = tile.memory();
-    return strength * bestCosine(tile.rowNorms().data(), mem.rows(),
-                                 key.norm(), [&](Index i) {
-                                     return dotRow(mem, i, key);
-                                 });
+    for (Index t = 1; t < tiles; ++t)
+        if (ifaces[t].readKeys != ifaces[0].readKeys ||
+            ifaces[t].readStrengths != ifaces[0].readStrengths)
+            return false;
+    return true;
 }
 
 // --------------------------------------------------------------------
@@ -186,23 +186,24 @@ DncD::stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out)
     broadcast_.resize(tiles_);
     for (Index t = 0; t < tiles_; ++t)
         broadcast_[t] = iface;
-    stepCore(broadcast_, true, out);
+    stepCore(broadcast_, out);
 }
 
 MemoryReadout
 DncD::stepInterfaces(const std::vector<InterfaceVector> &ifaces)
 {
+    HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
+    HIMA_ASSERT(readQueriesBroadcast(ifaces.data(), tiles_),
+                "per-tile interfaces must share tile 0's read keys and "
+                "strengths (queries broadcast)");
     MemoryReadout out;
-    stepCore(ifaces, false, out);
+    stepCore(ifaces, out);
     return out;
 }
 
 void
-DncD::stepCore(const std::vector<InterfaceVector> &ifaces, bool broadcast,
-               MemoryReadout &out)
+DncD::stepCore(const std::vector<InterfaceVector> &ifaces, MemoryReadout &out)
 {
-    HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
-
     // Local soft write + soft read on every shard. Tiles share no state
     // (Fig. 8: all state memories are sharded), so they execute on the
     // pool; numThreads == 1 runs them sequentially, bit-identically.
@@ -213,21 +214,14 @@ DncD::stepCore(const std::vector<InterfaceVector> &ifaces, bool broadcast,
 
     if (!scored.empty()) {
         // Content-confidence gating (Sec. 5.1): every (head, tile) score
-        // is independent, so the scoring parallelizes over tiles. A
-        // broadcast key is the one each tile just read with, so its
-        // score comes from the tile's kept dots; per-tile interfaces
-        // score tile 0's key, which the other tiles never saw, by a scan.
+        // is independent, so the scoring parallelizes over tiles. Every
+        // tile just read with the scoring key (queries broadcast), so
+        // its score comes from the tile's kept dots.
         scoreScratch_.assign(scored.size() * tiles_, 0.0);
         forEachTile([&](Index t) {
-            for (Index k = 0; k < scored.size(); ++k) {
-                const Index head = scored[k];
+            for (Index k = 0; k < scored.size(); ++k)
                 scoreScratch_[k * tiles_ + t] =
-                    broadcast
-                        ? shards_[t]->readConfidence(head)
-                        : tileConfidenceScore(*shards_[t],
-                                              ifaces[0].readKeys[head],
-                                              ifaces[0].readStrengths[head]);
-            }
+                    shards_[t]->readConfidence(scored[k]);
         });
         gate_.applyScores(scoreScratch_, tiles_);
     }

@@ -55,20 +55,19 @@ enum class MergePolicy
 DncConfig shardConfigFor(const DncConfig &global, Index tiles);
 
 /**
- * Tile t's content confidence for a read key: the best row cosine,
- * sharpened by the strength. Scored through the tile's row-norm cache
- * (no per-row Vector copies). This is the logit each DNC-D tile
- * contributes to the merge softmax — computable entirely tile-locally,
- * which is what makes the confidence merge distributable: a remote
- * worker sends back one Real per head instead of its memory contents.
+ * The query-broadcast rule of a per-tile step (Fig. 8): the Nt
+ * interfaces may differ in their write-side fields, but every tile
+ * reads with tile 0's read keys and strengths. Then each tile's
+ * confidence logit for a head is MemoryUnit::readConfidence() of its
+ * own read lookup, computed tile-locally in O(N) from the kept dots.
+ * Both TileMemory backends enforce this rule: DncD and the shard
+ * coordinator abort on a caller that breaks it, a shard worker replies
+ * with an Error.
  *
- * This O(N*W) scan is for keys the tile did not read with (per-tile
- * interfaces score tile 0's key everywhere). For the key of the tile's
- * own last step, MemoryUnit::readConfidence() gives the same bits in
- * O(N) from the read lookup's kept dots.
+ * @return true when ifaces[1..tiles) carry ifaces[0]'s read keys and
+ *         read strengths
  */
-Real tileConfidenceScore(const MemoryUnit &tile, const Vector &key,
-                         Real strength);
+bool readQueriesBroadcast(const InterfaceVector *ifaces, Index tiles);
 
 /**
  * Alpha bookkeeping of the confidence merge, shared by DncD and the
@@ -153,7 +152,10 @@ class TileMemory
      * Drive each shard with its own *sub interface vector* (the Fig. 8
      * arrangement: the trained LSTM emits per-tile interfaces, e.g.
      * raising the write gate on exactly the tile that should store this
-     * item). Read-vector merge is identical to stepInterface().
+     * item). Queries still broadcast: every interface must carry
+     * ifaces[0]'s read keys and strengths (readQueriesBroadcast()), and
+     * a step that breaks the rule is fatal. Read-vector merge is
+     * identical to stepInterface().
      */
     virtual MemoryReadout
     stepInterfaces(const std::vector<InterfaceVector> &ifaces) = 0;
@@ -238,11 +240,8 @@ class DncD : public TileMemory
     /** Run fn(0..tiles_-1), on the pool when one is configured. */
     void forEachTile(const std::function<void(Index)> &fn);
 
-    /**
-     * Shared step body: tiles, gate, scores, merge into `out`.
-     * `broadcast` says every tile stepped with ifaces[0]'s read keys.
-     */
-    void stepCore(const std::vector<InterfaceVector> &ifaces, bool broadcast,
+    /** Shared step body: tiles, gate, scores, merge into `out`. */
+    void stepCore(const std::vector<InterfaceVector> &ifaces,
                   MemoryReadout &out);
 
     DncConfig globalConfig_;

@@ -25,7 +25,7 @@
  * per-head merge, then one pass over M for all R read vectors
  * (matTVecSparseMultiInto). Every head's bits are those of R separate
  * lookups and reads. The lookup's raw dots are kept, so the DNC-D
- * confidence of a broadcast key costs O(N) (readConfidence()).
+ * confidence of the step's read key costs O(N) (readConfidence()).
  */
 
 #ifndef HIMA_DNC_MEMORY_UNIT_H
@@ -134,10 +134,10 @@ class MemoryUnit
 
     /**
      * DNC-D confidence of the last step's read key `head` against this
-     * tile: tileConfidenceScore(*this, key, strength) for that step's
-     * key and strength, bit for bit, but O(N) — bestCosine over the dots
-     * the read lookup kept instead of an O(N*W) rescan. Valid from a
-     * step until the next reset() or restoreState().
+     * tile: the best row cosine of that step's key, sharpened by its
+     * strength, bit for bit as an O(N*W) rescan of memory would give
+     * it, but O(N) — bestCosine over the dots the read lookup kept.
+     * Valid from a step until the next reset() or restoreState().
      */
     Real readConfidence(Index head) const;
 

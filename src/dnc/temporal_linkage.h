@@ -220,8 +220,8 @@ class TemporalLinkage
     // grown on first use): lane h of word j holds head h's value for
     // slot j, which lets the per-head accumulation chains run as one
     // SIMD lane group while keeping every chain's order intact.
-    std::vector<Real> interleavedReads_;
-    std::vector<Real> interleavedBackward_;
+    RealBuffer interleavedReads_;
+    RealBuffer interleavedBackward_;
 };
 
 } // namespace hima

@@ -18,7 +18,6 @@ void
 applyTelemetryConfig(const DncConfig &config)
 {
     setMetricsEnabled(config.telemetryMetrics);
-    setTraceCapacity(config.telemetryTraceCapacity);
     setTracingEnabled(config.telemetryTracing);
 }
 

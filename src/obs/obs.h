@@ -33,9 +33,9 @@ struct WireTrafficStats;
 namespace obs {
 
 /**
- * Land DncConfig's telemetry* knobs: metrics toggle, tracing toggle,
- * per-thread trace ring capacity. Call before worker threads start so
- * rings pick up the capacity.
+ * Land DncConfig's telemetry* knobs: the metrics toggle and the
+ * tracing toggle. The per-thread trace ring capacity is set by
+ * setTraceCapacity().
  */
 void applyTelemetryConfig(const DncConfig &config);
 

@@ -57,8 +57,8 @@ setTracingEnabled(bool on)
 
 /**
  * Per-thread ring capacity (events) used by rings created *after* the
- * call; existing rings keep their size. DncConfig::telemetryTraceCapacity
- * lands here before any worker thread starts.
+ * call; existing rings keep their size, so set it before any worker
+ * thread starts. Defaults to 4096 events.
  */
 void setTraceCapacity(std::size_t events);
 

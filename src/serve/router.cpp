@@ -5,27 +5,6 @@
 
 namespace hima {
 
-AdmissionPolicy
-greedyAdmission()
-{
-    return [](Index queued, Index freeLanes, Index) {
-        return std::min(queued, freeLanes);
-    };
-}
-
-AdmissionPolicy
-batchFillAdmission(Index minFill, Index maxWaitSteps)
-{
-    HIMA_ASSERT(minFill >= 1, "batchFillAdmission: minFill must be >= 1");
-    return [minFill, maxWaitSteps](Index queued, Index freeLanes,
-                                   Index oldestWait) {
-        const Index bindable = std::min(queued, freeLanes);
-        if (bindable >= minFill || oldestWait >= maxWaitSteps)
-            return bindable;
-        return Index{0};
-    };
-}
-
 Router::RouterMetrics::RouterMetrics()
 {
     obs::Registry &reg = obs::Registry::instance();
@@ -38,19 +17,14 @@ Router::RouterMetrics::RouterMetrics()
     stepNanos = &reg.histogram("router.step_nanos");
 }
 
-Router::Router(const DncConfig &config, std::uint64_t seed,
-               AdmissionPolicy policy)
-    : Router(std::make_unique<BatchedDnc>(config, seed), std::move(policy))
+Router::Router(const DncConfig &config, std::uint64_t seed)
+    : Router(std::make_unique<BatchedDnc>(config, seed))
 {}
 
-Router::Router(std::unique_ptr<LaneEngine> engine, AdmissionPolicy policy)
-    : engine_(std::move(engine)), policy_(std::move(policy))
+Router::Router(std::unique_ptr<LaneEngine> engine)
+    : engine_(std::move(engine))
 {
     HIMA_ASSERT(engine_ != nullptr, "Router: null engine");
-    HIMA_ASSERT(static_cast<bool>(policy_), "Router: null admission policy");
-    maxActive_ = engine_->config().routerMaxActiveLanes == 0
-                     ? engine_->capacity()
-                     : engine_->config().routerMaxActiveLanes;
     queueCapacity_ = engine_->config().routerQueueCapacity;
 
     // Engines construct fully occupied (lockstep back-compat); a
@@ -99,39 +73,33 @@ Router::step()
         drainingSlots_.clear();
     }
 
-    // 2. Admission: policy decides how many queued requests to bind now.
+    // 2. Admission: bind as many queued requests as there are free lanes.
     {
         obs::TraceSpan span("router.bind", queue_.size());
-        const Index headroom =
-            maxActive_ - std::min(maxActive_, engine_->activeLanes());
-        const Index bindable = std::min(engine_->freeLanes(), headroom);
-        if (!queue_.empty() && bindable > 0) {
-            const Index oldestWait = now_ - arrivalSteps_.front();
-            Index admitCount = policy_(queue_.size(), bindable, oldestWait);
-            admitCount =
-                std::min({admitCount, Index(queue_.size()), bindable});
-            for (Index i = 0; i < admitCount; ++i) {
-                const Index slot = engine_->admit();
-                Binding &binding = bindings_[slot];
-                binding.bound = true;
-                binding.request = std::move(queue_.front());
-                queue_.pop_front();
-                binding.cursor = 0;
-                binding.result = ServeResult{};
-                binding.result.id = binding.request.id;
-                binding.result.arrivalStep = arrivalSteps_.front();
-                arrivalSteps_.pop_front();
-                binding.result.admitStep = now_;
-                // Pre-size the whole result at admission so the per-step
-                // harvest is a same-size Vector copy — serving steps stay
-                // zero-alloc even while the queue is overflowing.
-                binding.result.outputs.assign(
-                    binding.request.tokens.size(),
-                    Vector(config().outputSize));
-                ++inFlight_;
-            }
-            metrics_.admitted->add(admitCount);
+        const Index admitCount =
+            std::min(Index(queue_.size()), engine_->freeLanes());
+        for (Index i = 0; i < admitCount; ++i) {
+            const Index slot = engine_->admit();
+            Binding &binding = bindings_[slot];
+            binding.bound = true;
+            binding.request = std::move(queue_.front());
+            queue_.pop_front();
+            binding.cursor = 0;
+            binding.result = ServeResult{};
+            binding.result.id = binding.request.id;
+            binding.result.arrivalStep = arrivalSteps_.front();
+            arrivalSteps_.pop_front();
+            binding.result.admitStep = now_;
+            // Pre-size the whole result at admission so the per-step
+            // harvest is a same-size Vector copy — serving steps stay
+            // zero-alloc even while the queue is overflowing.
+            binding.result.outputs.assign(
+                binding.request.tokens.size(),
+                Vector(config().outputSize));
+            ++inFlight_;
         }
+        if (admitCount > 0)
+            metrics_.admitted->add(admitCount);
     }
 
     // 3. One engine step over the active lanes. inputs_ entries for

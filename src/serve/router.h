@@ -17,9 +17,9 @@
  *   1. Evict: lanes marked Draining on the previous step are released —
  *      their results were already harvested, the slots return to the
  *      free pool.
- *   2. Admit: the admission policy inspects the queue and the free
- *      capacity and decides how many queued requests to bind; each bound
- *      request gets an episode-reset lane slot (BatchedDnc::admit()).
+ *   2. Admit: as many queued requests as there are free lanes are
+ *      bound, oldest first; each gets an episode-reset lane slot
+ *      (BatchedDnc::admit()).
  *   3. Step: every active lane advances one token through the engine;
  *      each request's model output is appended to its result. A lane
  *      whose episode just finished is marked Draining.
@@ -34,22 +34,14 @@
  * router's dynamic batching safe to deploy: batching is purely a
  * throughput decision, never an accuracy one.
  *
- * Admission policy is pluggable (a plain function): greedyAdmission()
- * binds as many queued requests as there are free lanes — the lowest-
- * latency choice; batchFillAdmission(minFill, maxWaitSteps) holds
- * admissions back until a fill target is reached (or the oldest request
- * has waited long enough), trading queueing latency for denser batches
- * — the knob bench_router sweeps.
- *
- * Queueing (routerQueueCapacity) and concurrency (routerMaxActiveLanes)
- * bounds come from DncConfig and are validated there.
+ * The queue bound (routerQueueCapacity) comes from DncConfig and is
+ * validated there.
  */
 
 #ifndef HIMA_SERVE_ROUTER_H
 #define HIMA_SERVE_ROUTER_H
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -89,48 +81,23 @@ struct ServeResult
     }
 };
 
-/**
- * Admission policy: called once per step boundary with the queue depth,
- * the number of lanes that may be bound right now, and how many steps
- * the oldest queued request has waited; returns how many requests to
- * admit (clamped to min(queued, freeLanes)).
- */
-using AdmissionPolicy =
-    std::function<Index(Index queued, Index freeLanes, Index oldestWait)>;
-
-/** Bind as many queued requests as capacity allows (lowest latency). */
-AdmissionPolicy greedyAdmission();
-
-/**
- * Hold admissions until `minFill` requests can be bound at once or the
- * oldest queued request has waited `maxWaitSteps` steps, then bind
- * greedily. Denser batches amortize weight streaming better at the cost
- * of queueing latency — the latency/throughput trade bench_router
- * measures.
- */
-AdmissionPolicy batchFillAdmission(Index minFill, Index maxWaitSteps);
-
 /** The dynamic-batching front-end. */
 class Router
 {
   public:
     /**
-     * @param config shapes, feature flags, and the router knobs
-     *               (batchSize = slot capacity, routerQueueCapacity,
-     *               routerMaxActiveLanes)
+     * @param config shapes, feature flags, and the queue bound
+     *               (batchSize = slot capacity, routerQueueCapacity)
      * @param seed   engine weight seed (the reference Dnc's seed)
-     * @param policy admission policy; defaults to greedyAdmission()
      */
-    explicit Router(const DncConfig &config, std::uint64_t seed = 1,
-                    AdmissionPolicy policy = greedyAdmission());
+    explicit Router(const DncConfig &config, std::uint64_t seed = 1);
 
     /**
      * Route onto a caller-built engine (e.g. the sharded backend in
      * src/shard/sharded_dnc.h). The engine's DncConfig supplies the
-     * router knobs; its lanes are released to an empty house first.
+     * queue bound; its lanes are released to an empty house first.
      */
-    explicit Router(std::unique_ptr<LaneEngine> engine,
-                    AdmissionPolicy policy = greedyAdmission());
+    explicit Router(std::unique_ptr<LaneEngine> engine);
 
     /**
      * Enqueue a request (tokens must be non-empty, inputSize-wide).
@@ -181,8 +148,6 @@ class Router
     };
 
     std::unique_ptr<LaneEngine> engine_;
-    AdmissionPolicy policy_;
-    Index maxActive_ = 0; ///< min(routerMaxActiveLanes or capacity, capacity)
     Index queueCapacity_ = 0;
 
     std::deque<ServeRequest> queue_;

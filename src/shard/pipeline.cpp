@@ -347,16 +347,9 @@ ShardLaneGroup::stepLaneInto(Index lane,
                              MemoryReadout &out)
 {
     HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
-    for (Index t = 1; t < tiles_; ++t) {
-        HIMA_ASSERT(ifaces[t].readStrengths == ifaces[0].readStrengths,
-                    "tile %zu read strengths diverge from the broadcast",
-                    t);
-        for (Index h = 0; h < globalConfig_.readHeads; ++h)
-            HIMA_ASSERT(ifaces[t].readKeys[h] == ifaces[0].readKeys[h],
-                        "tile %zu read key %zu diverges from the "
-                        "broadcast",
-                        t, h);
-    }
+    HIMA_ASSERT(readQueriesBroadcast(ifaces.data(), tiles_),
+                "per-tile interfaces must share tile 0's read keys and "
+                "strengths (queries broadcast)");
     stepOneLane(lane, ifaces.data(), tiles_, out);
 }
 

@@ -137,11 +137,9 @@ class ShardLaneGroup
 
     /**
      * One lane's per-tile step (DNC-D learned write sharding): tile t
-     * steps with ifaces[t]. The merge contract (Fig. 8) is that
-     * *queries broadcast*: the interfaces may differ in write-side
-     * fields, but the read keys and strengths every tile scores with
-     * must be identical (workers and DncD score with ifaces[0]), so
-     * divergent read fields are a fatal caller bug.
+     * steps with ifaces[t]. Queries broadcast (readQueriesBroadcast()):
+     * the interfaces may differ in write-side fields, but divergent
+     * read keys or strengths are a fatal caller bug, as in DncD.
      */
     void stepLaneInto(Index lane, const std::vector<InterfaceVector> &ifaces,
                       MemoryReadout &out);

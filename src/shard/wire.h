@@ -215,8 +215,10 @@ struct ControlMsg
  * carries one interface for every tile. A per-tile entry carries all
  * Nt interfaces of DNC-D's learned write sharding (tileIfaces == Nt,
  * iface[t] for global tile t); every worker gets them all and steps
- * its own slice, so the frame stays identical on every channel. Both
- * kinds score confidence with iface[0]'s read keys, as DncD does.
+ * its own slice, so the frame stays identical on every channel. A
+ * per-tile entry's interfaces must carry iface[0]'s read keys and
+ * strengths (readQueriesBroadcast(), as in DncD); a worker answers a
+ * frame that breaks the rule with an Error.
  */
 struct LaneStepEntry
 {

@@ -257,16 +257,26 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
         sendError("malformed LaneStep", sink);
         return;
     }
+    // Checked before any tile steps, so a refused frame leaves every
+    // lane's state as it was.
+    const Index frameLanes = laneStep_.lanes.size();
+    for (Index j = 0; j < frameLanes; ++j) {
+        if (laneStep_.perTile[j] &&
+            !readQueriesBroadcast(&laneStep_.tileIface(j, 0),
+                                  globalTiles_)) {
+            sendError("LaneStep per-tile read keys or strengths diverge "
+                      "from tile 0's",
+                      sink);
+            return;
+        }
+    }
 
     // All named lanes' hosted tiles in one dispatch: frame slot
     // j * hostedTiles + i maps to tile i of lane lanes[j]. Lanes are
     // independent tile sets, so any pool schedule is bit-identical to
-    // sequential execution. Global tile 0's interface carries the
-    // scoring keys (same convention as DncD): a broadcast entry's tiles
-    // read with exactly that key, so their kept dots give the score in
-    // O(N); a per-tile entry's tiles read with their own keys, so tile
-    // 0's key is scored by a scan.
-    const Index frameLanes = laneStep_.lanes.size();
+    // sequential execution. Every tile of an entry reads with the same
+    // keys (queries broadcast), so its kept dots give each flagged
+    // head's score in O(N).
     const Index slots = frameLanes * hostedTiles_; // <= readouts_.size()
     if (!laneStepTask_) {
         laneStepTask_ = [this](Index slot) {
@@ -276,18 +286,11 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
                 *tiles_[laneStep_.lanes[j] * hostedTiles_ + i];
             tile.stepInto(laneStep_.tileIface(j, firstGlobalTile_ + i),
                           readouts_[slot]);
-            const InterfaceVector &scoring = laneStep_.tileIface(j, 0);
-            const bool perTile = laneStep_.perTile[j] != 0;
             const Index heads = shardConfig_.readHeads;
-            for (Index h = 0; h < heads; ++h) {
-                Real score = 0.0;
-                if (laneStep_.masks[j] >> h & 1u)
-                    score = perTile ? tileConfidenceScore(
-                                          tile, scoring.readKeys[h],
-                                          scoring.readStrengths[h])
-                                    : tile.readConfidence(h);
-                confidence_[slot * heads + h] = score;
-            }
+            for (Index h = 0; h < heads; ++h)
+                confidence_[slot * heads + h] =
+                    (laneStep_.masks[j] >> h & 1u) ? tile.readConfidence(h)
+                                                   : 0.0;
         };
     }
     forEach(slots, laneStepTask_);

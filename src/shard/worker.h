@@ -15,10 +15,12 @@
  * vectors + R logits per tile and the merge never needs remote memory
  * contents. A lane entry carries either one broadcast interface or all
  * Nt per-tile interfaces (learned write sharding), of which the worker
- * steps its own slice starting at its first global tile. All (lane,
- * tile) pairs of a frame share one pool dispatch when the handshake
- * asks for threads (numThreads > 1), bit-identically to sequential
- * execution because tiles share no state. A per-lane Control
+ * steps its own slice starting at its first global tile; a per-tile
+ * entry whose read keys or strengths differ between tiles is refused
+ * with an Error before any tile steps. All (lane, tile) pairs of a
+ * frame share one pool dispatch when the handshake asks for threads
+ * (numThreads > 1), bit-identically to sequential execution because
+ * tiles share no state. A per-lane Control
  * admits/resets one lane without touching the rest.
  *
  * The same handleFrame() core serves both transports: LoopbackChannel

@@ -182,6 +182,23 @@ TEST(DncD, ResetClearsAllShards)
 }
 
 /**
+ * The scan reference of the DNC-D confidence logit: tile t's best row
+ * cosine for `key`, sharpened by the strength, from fresh dots (dotRow)
+ * through the row-norm cache and the one bestCosine chain. The library
+ * scores from the dots its read lookup kept
+ * (MemoryUnit::readConfidence), which must equal this bit for bit.
+ */
+Real
+tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
+{
+    const Matrix &mem = tile.memory();
+    return strength * bestCosine(tile.rowNorms().data(), mem.rows(),
+                                 key.norm(), [&](Index i) {
+                                     return dotRow(mem, i, key);
+                                 });
+}
+
+/**
  * Test-side full scan of tileConfidenceScore: every row scored, no row
  * skipped, sums ascending as in dotRow and the memory write's norms.
  */
@@ -347,13 +364,13 @@ scannedAlphas(const DncD &model, const InterfaceVector &scoring)
 }
 
 /**
- * Broadcast steps take the confidence from the tiles' kept dots, and
- * the alphas equal a full scan's. Per-tile steps read each tile with
- * its own keys, so DNC-D's scoring key (tile 0's) must still be scanned
- * on every tile: the alphas equal the scan's, and the kept dots (of
- * the tiles' own keys) would have given different logits.
+ * Broadcast and per-tile steps both take the confidence from the
+ * tiles' kept dots, and the alphas equal a full scan's. The per-tile
+ * interfaces share tile 0's read keys and strengths (queries
+ * broadcast) and differ in every write-side field, so a tile that
+ * scored its own write key, or tile 0's dots, would show.
  */
-TEST(DncD, PerTileInterfacesStillScanTileZeroKeys)
+TEST(DncD, PerTileAlphasEqualTheScanOfTheSharedKeys)
 {
     const DncConfig cfg = testConfig();
     const Index tiles = 4;
@@ -364,7 +381,6 @@ TEST(DncD, PerTileInterfacesStillScanTileZeroKeys)
             mode = ReadMode{0.0, 1.0, 0.0};
         return iface;
     };
-    bool keptWouldDiffer = false;
     for (int step = 0; step < 12; ++step) {
         SCOPED_TRACE(::testing::Message() << "step " << step);
         InterfaceVector iface = contentRead(golden::randomIface(cfg, rng));
@@ -379,25 +395,40 @@ TEST(DncD, PerTileInterfacesStillScanTileZeroKeys)
         }
         std::vector<InterfaceVector> perTile;
         for (Index t = 0; t < tiles; ++t) {
-            perTile.push_back(t == 0 ? iface
-                                     : contentRead(golden::randomIface(cfg,
-                                                                       rng)));
+            perTile.push_back(t == 0 ? iface : golden::randomIface(cfg, rng));
+            perTile.back().readKeys = iface.readKeys;
+            perTile.back().readStrengths = iface.readStrengths;
             perTile.back().writeGate = t == static_cast<Index>(step) % tiles
                                            ? 1.0
                                            : 0.0;
         }
         model.stepInterfaces(perTile);
-        EXPECT_EQ(model.lastAlphas(), scannedAlphas(model, perTile[0]));
-        for (Index t = 1; t < tiles; ++t)
-            for (Index h = 0; h < cfg.readHeads; ++h)
-                keptWouldDiffer |=
-                    model.shard(t).readConfidence(h) !=
-                    tileConfidenceScore(model.shard(t),
-                                        perTile[0].readKeys[h],
-                                        perTile[0].readStrengths[h]);
+        EXPECT_EQ(model.lastAlphas(), scannedAlphas(model, iface));
     }
-    EXPECT_TRUE(keptWouldDiffer)
-        << "per-tile keys never separated kept dots from the scan";
+}
+
+/**
+ * A per-tile step whose read keys or strengths differ between tiles
+ * breaks the query-broadcast rule: DncD refuses it, as the shard
+ * coordinator does, instead of merging logits of keys the tiles never
+ * read with.
+ */
+TEST(DncD, DivergentPerTileReadFieldsAreFatal)
+{
+    const DncConfig cfg = testConfig();
+    const Index tiles = 4;
+    Rng rng(78);
+    const InterfaceVector iface = golden::randomIface(cfg, rng);
+    std::vector<InterfaceVector> keyDiverges(tiles, iface);
+    keyDiverges[2].readKeys[1][3] += 0.5;
+    std::vector<InterfaceVector> strengthDiverges(tiles, iface);
+    strengthDiverges[1].readStrengths[0] += 1.0;
+    EXPECT_DEATH(DncD(cfg, tiles).stepInterfaces(keyDiverges),
+                 "queries broadcast");
+    EXPECT_DEATH(DncD(cfg, tiles).stepInterfaces(strengthDiverges),
+                 "queries broadcast");
+    DncD(cfg, tiles).stepInterfaces(std::vector<InterfaceVector>(tiles,
+                                                                 iface));
 }
 
 } // namespace

@@ -10,8 +10,8 @@
  * Engine-level churn is covered by the randomized
  * admit/evict lockstep in golden_util.h; router-level by replaying
  * Poisson and bursty arrival traces and checking every completed
- * request against a reference model. Lifecycle mechanics, admission
- * policies, queue back-pressure and the DncConfig router knobs get
+ * request against a reference model. Lifecycle mechanics, greedy
+ * admission, queue back-pressure and the DncConfig queue bound get
  * their own unit tests.
  */
 
@@ -218,11 +218,10 @@ TEST(LaneLifecycle, ResetRestoresFullOccupancy)
  */
 void
 routerGolden(DncConfig cfg, const ArrivalSpec &spec, Index horizon,
-             AdmissionPolicy policy = greedyAdmission(),
              std::uint64_t weightSeed = 1, std::uint64_t traceSeed = 41,
              std::uint64_t tokenSeed = 43)
 {
-    Router router(cfg, weightSeed, std::move(policy));
+    Router router(cfg, weightSeed);
     Rng traceRng(traceSeed);
     const std::vector<ArrivalEvent> trace =
         makeArrivalTrace(spec, horizon, traceRng);
@@ -307,22 +306,12 @@ TEST(Router, BurstyTraceMatchesSequentialReference)
     spec.rate = 0.05;
     spec.burstProbability = 0.15;
     spec.burstSize = 5; // bursts exceed capacity: forced queueing
-    routerGolden(cfg, spec, /*horizon=*/30, greedyAdmission(),
-                 /*weightSeed=*/3, /*traceSeed=*/47, /*tokenSeed=*/53);
-}
-
-TEST(Router, BatchFillAdmissionStaysBitExact)
-{
-    // Holding admissions back changes *when* lanes run, which must not
-    // change *what* they compute.
-    DncConfig cfg = tinyConfig();
-    cfg.batchSize = 4;
-    cfg.numThreads = 2;
-    ArrivalSpec spec;
-    spec.rate = 0.4;
-    routerGolden(cfg, spec, /*horizon=*/30,
-                 batchFillAdmission(/*minFill=*/3, /*maxWaitSteps=*/6),
-                 /*weightSeed=*/5, /*traceSeed=*/59, /*tokenSeed=*/61);
+    for (const bool fixedPoint : {false, true}) {
+        SCOPED_TRACE(fixedPoint ? "fixed point" : "float");
+        cfg.fixedPoint = fixedPoint;
+        routerGolden(cfg, spec, /*horizon=*/30, /*weightSeed=*/3,
+                     /*traceSeed=*/47, /*tokenSeed=*/53);
+    }
 }
 
 // --------------------------------------------------------------------
@@ -343,8 +332,8 @@ TEST(RouterOverload, BurstyOverflowRejectsAndAcceptedStayBitExact)
     spec.rate = 0.05;
     spec.burstProbability = 0.3;
     spec.burstSize = 7;
-    routerGolden(cfg, spec, /*horizon=*/30, greedyAdmission(),
-                 /*weightSeed=*/7, /*traceSeed=*/101, /*tokenSeed=*/103);
+    routerGolden(cfg, spec, /*horizon=*/30, /*weightSeed=*/7,
+                 /*traceSeed=*/101, /*tokenSeed=*/103);
 }
 
 TEST(RouterOverload, RejectionCountIsDeterministicAndNonZero)
@@ -425,24 +414,6 @@ TEST(Router, QueueCapacityAppliesBackPressure)
     EXPECT_EQ(router.completed().size(), 3u);
 }
 
-TEST(Router, MaxActiveLanesCapsOccupancy)
-{
-    DncConfig cfg = tinyConfig();
-    cfg.batchSize = 4;
-    cfg.routerMaxActiveLanes = 2;
-    Router router(cfg);
-    Rng rng(71);
-    for (std::uint64_t id = 0; id < 4; ++id)
-        ASSERT_TRUE(router.submit(makeRequest(id, 6, cfg, rng)));
-
-    router.step();
-    EXPECT_EQ(router.activeRequests(), 2u)
-        << "routerMaxActiveLanes must cap admissions below batchSize";
-    EXPECT_EQ(router.engine().activeLanes(), 2u);
-    router.drain();
-    EXPECT_EQ(router.completed().size(), 4u);
-}
-
 TEST(Router, DrainLeavesEveryLaneFree)
 {
     // Lanes that finish on the final step are Draining at that instant;
@@ -482,49 +453,8 @@ TEST(Router, GreedyAdmissionBindsImmediately)
     EXPECT_EQ(result.latencySteps(), 5u); // pure service time
 }
 
-TEST(Router, BatchFillAdmissionTradesLatencyForDensity)
-{
-    DncConfig cfg = tinyConfig();
-    cfg.batchSize = 4;
-    Router router(cfg, 1, batchFillAdmission(/*minFill=*/3,
-                                             /*maxWaitSteps=*/10));
-    Rng rng(79);
-
-    // One lonely request: held back until the wait bound trips.
-    ASSERT_TRUE(router.submit(makeRequest(0, 3, cfg, rng)));
-    router.step();
-    EXPECT_EQ(router.activeRequests(), 0u) << "minFill=3 must hold 1 back";
-
-    // Two more arrivals reach the fill target: all bind at once.
-    ASSERT_TRUE(router.submit(makeRequest(1, 3, cfg, rng)));
-    ASSERT_TRUE(router.submit(makeRequest(2, 3, cfg, rng)));
-    router.step();
-    EXPECT_EQ(router.activeRequests(), 3u);
-    router.drain();
-    EXPECT_EQ(router.completed().size(), 3u);
-}
-
-TEST(Router, MaxWaitBoundOverridesFillTarget)
-{
-    DncConfig cfg = tinyConfig();
-    cfg.batchSize = 4;
-    Router router(cfg, 1, batchFillAdmission(/*minFill=*/4,
-                                             /*maxWaitSteps=*/3));
-    Rng rng(83);
-    ASSERT_TRUE(router.submit(makeRequest(0, 2, cfg, rng)));
-    router.step();
-    router.step();
-    router.step();
-    EXPECT_EQ(router.activeRequests(), 0u);
-    router.step(); // oldestWait reaches 3: the bound trips
-    EXPECT_EQ(router.activeRequests(), 1u);
-    router.drain();
-    ASSERT_EQ(router.completed().size(), 1u);
-    EXPECT_EQ(router.completed()[0].queueSteps(), 3u);
-}
-
 // --------------------------------------------------------------------
-// DncConfig router-knob validation (satellite).
+// DncConfig queue-bound validation.
 // --------------------------------------------------------------------
 
 using RouterConfigDeath = ::testing::Test;
@@ -537,22 +467,11 @@ TEST(RouterConfigDeath, ZeroQueueCapacityIsFatal)
                 "routerQueueCapacity");
 }
 
-TEST(RouterConfigDeath, MaxActiveLanesBeyondBatchSizeIsFatal)
-{
-    DncConfig cfg = tinyConfig();
-    cfg.batchSize = 4;
-    cfg.routerMaxActiveLanes = 5;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "routerMaxActiveLanes");
-}
-
 TEST(RouterConfig, DefaultsAndBoundaryValuesValidate)
 {
     DncConfig cfg = tinyConfig();
-    cfg.validate(); // defaults: queue 256, maxActive 0 ("use batchSize")
-    cfg.batchSize = 4;
-    cfg.routerMaxActiveLanes = 4; // == batchSize is the legal maximum
-    cfg.routerQueueCapacity = 1;  // minimum legal queue
+    cfg.validate(); // default queue: 256
+    cfg.routerQueueCapacity = 1; // minimum legal queue
     cfg.validate();
 }
 

@@ -1225,16 +1225,17 @@ struct CollectSink final : FrameSink
 };
 
 /**
- * A worker scores a broadcast LaneStep entry from its tiles' kept read
- * dots and a per-tile entry by scanning global tile 0's keys. The
- * coordinator only sends per-tile entries whose read keys match tile
- * 0's, so this drives the worker with raw frames whose per-tile keys
- * differ: every reply logit must equal the in-process DncD tile's scan
- * of tile 0's key, and the worker's kept dots must give a different
- * logit at least once (so the check can tell the two apart). R = 4 and
- * W = 20 run the AVX2 scoring body with a column tail.
+ * A worker scores broadcast and per-tile LaneStep entries alike from
+ * its tiles' kept read dots, and refuses a per-tile entry whose read
+ * keys or strengths differ between tiles: the coordinator never sends
+ * one, so this drives the worker with raw frames. Valid frames (the
+ * per-tile ones differ in every write-side field) must reply the
+ * in-process DncD tiles' logits bit for bit. A divergent frame gets an
+ * Error reply, steps no tile (the next valid frame still matches the
+ * reference) and leaves the worker serving. R = 4 and W = 20 run the
+ * AVX2 scoring body with a column tail.
  */
-TEST(ShardWorkerProtocol, PerTileLaneStepScansTileZeroKeys)
+TEST(ShardWorkerProtocol, PerTileLaneStepWithDivergentQueriesIsAnError)
 {
     const Index tiles = 4;
     DncConfig cfg = gridConfig(tiles, 1, false);
@@ -1252,15 +1253,35 @@ TEST(ShardWorkerProtocol, PerTileLaneStepScansTileZeroKeys)
 
     Rng rng(606);
     LaneStepReplyMsg reply;
-    bool keptWouldDiffer = false;
     for (std::uint64_t seq = 1; seq <= 12; ++seq) {
         SCOPED_TRACE(::testing::Message() << "seq " << seq);
         std::vector<InterfaceVector> ifaces;
         for (Index t = 0; t < tiles; ++t) {
             ifaces.push_back(golden::randomIface(cfg, rng));
+            ifaces.back().readKeys = ifaces[0].readKeys;
+            ifaces.back().readStrengths = ifaces[0].readStrengths;
             ifaces.back().writeGate = t == seq % tiles ? 1.0 : 0.0;
         }
         const bool perTile = seq % 2 == 0;
+        if (seq % 4 == 2) {
+            std::vector<InterfaceVector> divergent = ifaces;
+            if (seq % 8 == 2)
+                divergent[3].readKeys[2][5] += 0.25;
+            else
+                divergent[1].readStrengths[3] += 1.0;
+            const LaneStepEntry bad[] = {
+                {0, (1u << heads) - 1, divergent.data(), tiles}};
+            encodeLaneStep(seq, false, bad, 1, w);
+            sink.frames.clear();
+            ASSERT_TRUE(worker.handleFrame(w.buffer().data(),
+                                           w.buffer().size(), sink));
+            ASSERT_EQ(sink.frames.size(), 1u);
+            ErrorMsg err;
+            ASSERT_TRUE(decodeError(sink.frames[0].data(),
+                                    sink.frames[0].size(), err));
+            EXPECT_NE(err.message.find("diverge"), std::string::npos)
+                << err.message;
+        }
         if (perTile)
             ref.stepInterfaces(ifaces);
         else
@@ -1276,21 +1297,14 @@ TEST(ShardWorkerProtocol, PerTileLaneStepScansTileZeroKeys)
                                         sink.frames[0].size(), shard, tiles,
                                         1, reply));
         for (Index t = 0; t < tiles; ++t) {
-            const MemoryUnit &tile = worker.laneTile(0, t);
-            ASSERT_TRUE(tile.memory() == ref.shard(t).memory());
-            for (Index h = 0; h < heads; ++h) {
-                const Real scan =
-                    tileConfidenceScore(ref.shard(t), ifaces[0].readKeys[h],
-                                        ifaces[0].readStrengths[h]);
-                EXPECT_EQ(reply.confidence[t * heads + h], scan)
+            ASSERT_TRUE(worker.laneTile(0, t).memory() ==
+                        ref.shard(t).memory());
+            for (Index h = 0; h < heads; ++h)
+                EXPECT_EQ(reply.confidence[t * heads + h],
+                          ref.shard(t).readConfidence(h))
                     << "tile " << t << " head " << h;
-                if (perTile)
-                    keptWouldDiffer |= tile.readConfidence(h) != scan;
-            }
         }
     }
-    EXPECT_TRUE(keptWouldDiffer)
-        << "per-tile keys never separated kept dots from the scan";
 }
 
 TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)

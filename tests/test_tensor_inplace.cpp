@@ -127,6 +127,33 @@ namespace hima {
 namespace {
 
 // --------------------------------------------------------------------
+// Storage starts on a cache line, whatever was allocated before it.
+// --------------------------------------------------------------------
+
+bool
+onCacheLine(const Real *p)
+{
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
+
+TEST(TensorStorage, BuffersStartOnCacheLines)
+{
+    std::vector<Vector> vectors;
+    std::vector<Matrix> matrices;
+    for (Index n : {1, 3, 8, 17, 1024, 70000}) {
+        vectors.emplace_back(n);
+        matrices.emplace_back(n % 7 + 1, n);
+        EXPECT_TRUE(onCacheLine(vectors.back().data())) << "n=" << n;
+        EXPECT_TRUE(onCacheLine(matrices.back().data())) << "n=" << n;
+    }
+    Vector grown(5);
+    grown.resize(4096);
+    EXPECT_TRUE(onCacheLine(grown.data()));
+    RealBuffer scratch(33);
+    EXPECT_TRUE(onCacheLine(scratch.data()));
+}
+
+// --------------------------------------------------------------------
 // Destination-passing kernels match the value-returning API.
 // --------------------------------------------------------------------
 
